@@ -109,6 +109,9 @@ func (s Spec) Expand() ([]Cell, error) {
 			if side < 1 {
 				return nil, fmt.Errorf("campaign: invalid side %d", side)
 			}
+			if err := alg.CheckMesh(side, side); err != nil {
+				return nil, fmt.Errorf("campaign: %w", err)
+			}
 			for _, trials := range s.Trials {
 				if trials < 1 {
 					return nil, fmt.Errorf("campaign: invalid trial count %d", trials)

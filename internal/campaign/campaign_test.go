@@ -140,3 +140,17 @@ func TestIDContentAddressing(t *testing.T) {
 		t.Fatal("seed 0 and canonical seed 1 produced different IDs")
 	}
 }
+
+// TestExpandRejectsOddColumnRowMajor: the row-major algorithms need an
+// even column count, so a grid naming one at an odd side fails to
+// expand instead of panicking later in a runner goroutine.
+func TestExpandRejectsOddColumnRowMajor(t *testing.T) {
+	s := Spec{Algorithms: []string{"snake-a", "rm-rf"}, Sides: []int{8, 15}, Trials: []int{4}}
+	if _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "even number of columns") {
+		t.Fatalf("Expand = %v, want an even-columns error", err)
+	}
+	s.Algorithms = []string{"snake-a", "shearsort"}
+	if _, err := s.Expand(); err != nil {
+		t.Fatalf("odd sides for snake-a and shearsort: %v", err)
+	}
+}

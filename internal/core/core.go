@@ -110,6 +110,24 @@ func (a Algorithm) Order() grid.Order {
 	}
 }
 
+// CheckMesh reports whether a can run on an R×C mesh: a known algorithm,
+// both sides at least 1, and — for the row-major algorithms, whose
+// wrap-around wires join column pairs — an even number of columns. Entry
+// points call it so a bad request is an error, not a panic in the
+// schedule constructor.
+func (a Algorithm) CheckMesh(rows, cols int) error {
+	if a < 0 || a >= numAlgorithms {
+		return fmt.Errorf("core: unknown algorithm %d", int(a))
+	}
+	if rows < 1 || cols < 1 {
+		return fmt.Errorf("core: invalid mesh %dx%d", rows, cols)
+	}
+	if a.Order() == grid.RowMajor && cols%2 != 0 {
+		return fmt.Errorf("core: %s needs an even number of columns, got %d", a.ShortName(), cols)
+	}
+	return nil
+}
+
 // Schedule returns the compiled comparator schedule of a for an R×C mesh.
 // Schedules are built once per (algorithm, rows, cols) and shared
 // read-only across all subsequent calls, so per-trial Sort calls in a

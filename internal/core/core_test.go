@@ -97,3 +97,28 @@ func TestSortReportsStepLimitError(t *testing.T) {
 		t.Fatal("no error from the non-sorting ablation")
 	}
 }
+
+// TestCheckMesh pins which meshes each algorithm accepts: every
+// algorithm takes any positive even-column mesh, only the snakes and
+// shearsort take odd columns, and nothing takes an empty side.
+func TestCheckMesh(t *testing.T) {
+	for _, a := range append(AllAlgorithms(), RowMajorRowFirstNoWrap) {
+		if err := a.CheckMesh(4, 6); err != nil {
+			t.Errorf("%s 4x6: %v", a.ShortName(), err)
+		}
+		if err := a.CheckMesh(1, 1); (err == nil) != (a.Order() == grid.Snake) {
+			t.Errorf("%s 1x1: %v", a.ShortName(), err)
+		}
+		if err := a.CheckMesh(15, 15); (err == nil) != (a.Order() == grid.Snake) {
+			t.Errorf("%s 15x15: %v", a.ShortName(), err)
+		}
+		for _, dims := range [][2]int{{0, 4}, {4, 0}, {-2, 4}} {
+			if err := a.CheckMesh(dims[0], dims[1]); err == nil {
+				t.Errorf("%s %dx%d accepted", a.ShortName(), dims[0], dims[1])
+			}
+		}
+	}
+	if err := Algorithm(99).CheckMesh(4, 4); err == nil {
+		t.Error("unknown algorithm accepted")
+	}
+}

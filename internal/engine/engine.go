@@ -88,15 +88,34 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("engine: grid is %dx%d but schedule %s was built for %dx%d",
 			g.Rows(), g.Cols(), s.Name(), r, c)
 	}
-	tr := opts.Tracker
-	if tr == nil {
-		tr = grid.NewTracker(g, s.Order())
-	}
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps(r, c)
 	}
 
+	// Monte-Carlo fast path: a permutation trial with no observer, no
+	// injected tracker, and no per-step worker pool runs a pure
+	// compare-exchange loop with settled-window skipping and lazy
+	// completion detection instead of paying the tracker's delta
+	// arithmetic on every swap. The span kernel needs no tracker at all.
+	fast := opts.Workers <= 1 && opts.Observer == nil && opts.Tracker == nil
+	if fast && opts.Kernel != KernelGeneric {
+		if minVal, ok := permutationMin(g); ok {
+			if plan := spanPlanFor(s, g); plan != nil {
+				if opts.Kernel == KernelSpanSharded {
+					if shards := resolveShards(opts, r, c); shards > 1 {
+						return runDistinctSpansSharded(g, plan, maxSteps, minVal, shards, opts.ShardPool)
+					}
+				}
+				return runDistinctSpans(g, plan, maxSteps, minVal)
+			}
+		}
+	}
+
+	tr := opts.Tracker
+	if tr == nil {
+		tr = grid.NewTracker(g, s.Order())
+	}
 	var res Result
 	if tr.Sorted() && opts.Observer == nil {
 		res.Sorted = true
@@ -116,23 +135,8 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 	phases := sched.PhasesOf(s)
 	period := len(phases)
 
-	// Monte-Carlo fast path: a permutation trial with no observer, no
-	// injected tracker, and no per-step worker pool runs a pure
-	// compare-exchange loop with settled-window skipping and lazy
-	// completion detection instead of paying the tracker's delta
-	// arithmetic on every swap.
-	if pool == nil && opts.Observer == nil && opts.Tracker == nil {
+	if fast {
 		if dt, ok := tr.(*grid.DistinctTracker); ok {
-			if opts.Kernel != KernelGeneric && spanValuesFit(dt, g.Len()) {
-				if plan := spanPlanFor(s, g); plan != nil {
-					if opts.Kernel == KernelSpanSharded {
-						if shards := resolveShards(opts, r, c); shards > 1 {
-							return runDistinctSpansSharded(g, plan, maxSteps, dt, shards, opts.ShardPool)
-						}
-					}
-					return runDistinctSpans(g, plan, maxSteps, dt)
-				}
-			}
 			return runDistinctLazy(g, planFor(s, g, phases), maxSteps, dt)
 		}
 	}

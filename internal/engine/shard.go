@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"repro/internal/grid"
 )
@@ -22,8 +23,10 @@ import (
 //     invariant, enforced by tests and fuzzing), so executing them in
 //     any order or concurrently writes the same cells the same way. A
 //     pair whose two cells straddle a shard boundary is owned by the
-//     lower shard and simply writes one cell into its neighbor's rows;
-//     disjointness makes that safe without coordination.
+//     shard holding its lo cell (for the schedules' column pairs, the
+//     top cell) and simply writes one cell into its neighbor's rows;
+//     disjointness makes that safe without coordination, and the sweep
+//     never stores to a lane outside its own span.
 //   - Skipping is exact-conservative: a span (or sub-span) is skipped
 //     only when the settled windows prove every one of its pairs a
 //     no-op, so executing a different partition of the same pair set
@@ -41,8 +44,9 @@ import (
 
 const (
 	// shardL2Budget is the working-set threshold below which sharding is
-	// pointless: a whole int32 shadow that fits one core's L2 is better
-	// served by the serial kernel than by any barrier.
+	// pointless: a whole shadow that fits one core's L2 is better served
+	// by the serial kernel than by any barrier. Meshes large enough to
+	// cross it have 32-bit shadow cells, hence four bytes per cell below.
 	shardL2Budget = 512 << 10
 	// minShardRows keeps auto-sharding from slicing the mesh thinner
 	// than the barrier cost amortizes over.
@@ -92,23 +96,25 @@ type shardedPlan struct {
 
 // shardSpanPlan splits plan into `shards` contiguous row blocks of
 // near-equal height (the first rows%shards blocks get the extra row). A
-// pair is owned by the shard containing its base (left/top) cell, so a
-// vertical pair crossing a block boundary belongs to the lower shard.
-// Span base cells are strictly increasing in k (step > 0), so each
-// shard owns one contiguous k-range of every span and splitting
-// preserves pair order and the pair set exactly.
+// pair is owned by the shard holding its lo cell's row. A span's lo
+// cells are consecutive shadow cells of one half, where rows occupy
+// consecutive blocks of cells, so each shard owns one contiguous k-range
+// of every span and splitting preserves the pair set exactly.
 func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
-	cols := int32(plan.cols)
-	rows := int32(plan.n / plan.cols)
-	// bound[s] is the first flat cell of shard s: shard s owns cells
-	// [bound[s], bound[s+1]).
-	bound := make([]int32, shards+1)
-	base, rem := rows/int32(shards), rows%int32(shards)
-	r := int32(0)
+	rows := plan.rows
+	even, half := (plan.cols+1)/2, plan.half()
+	// evenAt[s] and oddAt[s] are the first shadow cells of shard s's rows
+	// in the even and odd half: shard s owns lo cells in
+	// [evenAt[s], evenAt[s+1]) and [oddAt[s], oddAt[s+1]).
+	evenAt := make([]int32, shards+1)
+	oddAt := make([]int32, shards+1)
+	base, rem := rows/shards, rows%shards
+	r := 0
 	for s := 0; s <= shards; s++ {
-		bound[s] = r * cols
+		evenAt[s] = int32(r * even)
+		oddAt[s] = int32(half + r*(plan.cols/2))
 		r += base
-		if int32(s) < rem {
+		if s < rem {
 			r++
 		}
 	}
@@ -124,7 +130,12 @@ func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
 			parts[s].curOff = sp.curLen[s]
 		}
 		for i := range plan.phases[pi].spans {
-			splitSpan(&plan.phases[pi].spans[i], bound, parts)
+			run := &plan.phases[pi].spans[i]
+			bound := evenAt
+			if int(run.lo) >= half {
+				bound = oddAt
+			}
+			splitSpan(run, bound, parts)
 		}
 		for s := range parts {
 			sp.curLen[s] += 2 * int32(len(parts[s].spans))
@@ -135,29 +146,26 @@ func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
 }
 
 // splitSpan appends sp's sub-spans to the shards owning them. Shard s
-// owns the pairs k with bound[s] <= base + k·step < bound[s+1]. Affine
+// owns the pairs k with bound[s] <= lo + k < bound[s+1]. Affine
 // sub-spans get exact destination-rank bounds recomputed from the pitch
-// (the sub-span's own endpoints); a non-affine span — none exist today
-// — inherits its parent's conservative bounds, which only makes
-// whole-span skipping rarer, never wrong.
+// (the sub-span's own endpoints); a non-affine span inherits its
+// parent's conservative bounds, which only makes whole-span skipping
+// rarer, never wrong.
 func splitSpan(sp *span, bound []int32, parts []shardPart) {
 	for s := range parts {
-		kA := ceilDiv32(bound[s]-sp.base, sp.step)
-		kB := ceilDiv32(bound[s+1]-sp.base, sp.step)
-		kA = max(kA, 0)
-		kB = min(kB, sp.pairs)
+		kA := max(bound[s]-sp.lo, 0)
+		kB := min(bound[s+1]-sp.lo, sp.pairs)
 		if kB <= kA {
 			continue
 		}
 		sub := span{
-			base:   sp.base + kA*sp.step,
-			step:   sp.step,
+			lo:     sp.lo + kA,
+			hi:     sp.hi + kA,
 			pairs:  kB - kA,
 			lr0:    sp.lr0 + kA*sp.dl,
 			dl:     sp.dl,
 			hr0:    sp.hr0 + kA*sp.dh,
 			dh:     sp.dh,
-			kind:   sp.kind,
 			affine: sp.affine,
 		}
 		if sp.affine {
@@ -169,13 +177,6 @@ func splitSpan(sp *span, bound []int32, parts []shardPart) {
 		}
 		parts[s].spans = append(parts[s].spans, sub)
 	}
-}
-
-func ceilDiv32(a, b int32) int32 {
-	if a <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
 }
 
 // shardArena is one shard's private cursor storage: the pair-trim
@@ -211,8 +212,8 @@ type ShardPool struct {
 	// parked and read by them only after receiving a job: the start-
 	// channel send/receive pairs (and done-channel replies) order every
 	// access, so none of these need locks.
-	cells   []int32
-	u       []uint64
+	buf     []uint64 // shadow storage, grown to the largest plan run so far
+	sh      unsafe.Pointer
 	sharded *shardedPlan
 	arenas  []shardArena
 
@@ -266,9 +267,8 @@ func (p *ShardPool) worker(w int, jobs <-chan shardJob) {
 	for job := range jobs {
 		part := &p.sharded.phases[job.pi][w+1]
 		a := &p.arenas[w+1]
-		p.done <- execPhaseSpans(p.cells, p.u, part.spans,
-			a.cur[part.curOff:], a.win[2*job.pi:2*job.pi+2],
-			job.p32, job.ns32, int32(p.sharded.plan.cols))
+		p.done <- execPhaseSpans(p.sh, p.sharded.plan.wide, part.spans,
+			a.cur[part.curOff:], a.win[2*job.pi:2*job.pi+2], job.p32, job.ns32)
 	}
 }
 
@@ -351,54 +351,37 @@ func resolveShards(opts Options, rows, cols int) int {
 // partition cannot change results.
 //
 //meshlint:exempt oblivious settled-window completion detection around branchless span sweeps; exactness is proven by the differential suites
-func runDistinctSpansSharded(g *grid.Grid, plan *spanPlan, maxSteps int, tr *grid.DistinctTracker, shards int, pool *ShardPool) (Result, error) {
+func runDistinctSpansSharded(g *grid.Grid, plan *spanPlan, maxSteps, minVal, shards int, pool *ShardPool) (Result, error) {
+	if pool != nil {
+		shards = min(shards, pool.shards)
+	}
 	if shards <= 1 {
-		return runDistinctSpans(g, plan, maxSteps, tr)
+		return runDistinctSpans(g, plan, maxSteps, minVal)
 	}
 	if pool == nil {
 		pool = NewShardPool(shards)
 		defer pool.Close()
-	} else if shards > pool.shards {
-		shards = pool.shards
-	}
-	if shards <= 1 {
-		return runDistinctSpans(g, plan, maxSteps, tr)
 	}
 	sharded := pool.bind(plan, shards)
 
 	gc := g.Cells()
-	_, minVal := tr.Home()
 	n := plan.n
-	cols := int32(plan.cols)
-	rankFlat := plan.rankFlat
-
-	if cap(pool.cells) < n {
-		pool.cells = make([]int32, n)
+	if words := plan.words(); cap(pool.buf) < words {
+		pool.buf = make([]uint64, words)
 	}
-	cells := pool.cells[:n]
-	pool.cells = cells
-	for i, v := range gc {
-		cells[i] = int32(v)
-	}
-	pool.u = wordView(cells)
-	pool.resetCursors(sharded)
-	writeBack := func() {
-		for i, v := range cells {
-			gc[i] = int(v)
-		}
-	}
+	pool.sh = unsafe.Pointer(unsafe.SliceData(pool.buf))
+	sh := pool.sh
+	plan.transfer(sh, gc, minVal, true)
 
 	var res Result
+	p, s := plan.settle(sh, 0, 0) // settled prefix / suffix sizes, in ranks
+	if p+s >= n {
+		res.Sorted = true
+		return res, nil
+	}
+	pool.resetCursors(sharded)
 	period := len(plan.phases)
 	pi := 0
-	p, s := 0, 0 // settled prefix / suffix sizes, in ranks
-	min32 := int32(minVal)
-	for p+s < n && cells[rankFlat[p]] == min32+int32(p) {
-		p++
-	}
-	for p+s < n && cells[rankFlat[n-1-s]] == min32+int32(n-1-s) {
-		s++
-	}
 	for t := 1; t <= maxSteps; t++ {
 		ph := pi
 		if pi++; pi == period {
@@ -411,32 +394,21 @@ func runDistinctSpansSharded(g *grid.Grid, plan *spanPlan, maxSteps int, tr *gri
 		}
 		part := &sharded.phases[ph][0]
 		a := &pool.arenas[0]
-		swaps := execPhaseSpans(cells, pool.u, part.spans,
-			a.cur[part.curOff:], a.win[2*ph:2*ph+2], p32, ns32, cols)
+		swaps := execPhaseSpans(sh, plan.wide, part.spans,
+			a.cur[part.curOff:], a.win[2*ph:2*ph+2], p32, ns32)
 		for w := 0; w < shards-1; w++ {
 			swaps += <-pool.done
 		}
 		res.Swaps += int64(swaps)
 		res.Comparisons += plan.phases[ph].pairs
-		for p+s < n && cells[rankFlat[p]] == min32+int32(p) {
-			p++
-		}
-		for p+s < n && cells[rankFlat[n-1-s]] == min32+int32(n-1-s) {
-			s++
-		}
-		if p+s >= n {
+		if p, s = plan.settle(sh, p, s); p+s >= n {
 			res.Steps = t
 			res.Sorted = true
-			writeBack()
+			plan.transfer(sh, gc, minVal, false)
 			return res, nil
 		}
 	}
-	misplaced := 0
-	for m := p; m < n-s; m++ {
-		if cells[rankFlat[m]] != min32+int32(m) {
-			misplaced++
-		}
-	}
-	writeBack()
+	misplaced := plan.misplaced(sh, p, s)
+	plan.transfer(sh, gc, minVal, false)
 	return res, &ErrStepLimit{Algorithm: plan.name, MaxSteps: maxSteps, Misplaced: misplaced}
 }

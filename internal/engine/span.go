@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"math"
+	"sort"
 	"sync"
 	"unsafe"
 
@@ -18,17 +18,17 @@ import (
 type Kernel int
 
 const (
-	// KernelAuto picks the span kernel whenever the schedule compiles into
-	// spans and the span plan is monotone, falling back to the comparator
-	// path otherwise. This is the default.
+	// KernelAuto picks the span kernel whenever the schedule has a span
+	// plan (its steps are disjoint and monotone), falling back to the
+	// comparator path otherwise. This is the default.
 	KernelAuto Kernel = iota
 	// KernelGeneric forces the comparator-slice path (the pre-span
 	// engine), which is also what non-permutation inputs always use.
 	KernelGeneric
 	// KernelSpan requests the span kernel. Runs that are not eligible for
 	// any fast path (observers, custom trackers, duplicate values) or
-	// whose schedule does not compile into spans silently fall back to the
-	// generic path, so the option is a hint, never an error.
+	// whose schedule has no span plan silently fall back to the generic
+	// path, so the option is a hint, never an error.
 	KernelSpan
 	// KernelPacked requests the cell-packed 0-1 kernel (64 cells of one
 	// trial per word). Only mcbatch's ZeroOne batches honor it; the engine
@@ -56,51 +56,54 @@ const (
 	KernelSpanSharded
 )
 
-// Span exec kinds. Forward/reverse horizontal sweeps differ in which cell
-// receives the minimum; vertical sweeps with stride 1 get a dedicated
-// two-slice streaming loop.
-const (
-	kindHFwd = iota
-	kindHRev
-	kindV1
-	kindVN
-)
+// The span kernel runs a permutation trial on a shadow of the grid laid
+// out so that every step of every schedule is a handful of unit-stride
+// runs. The shadow holds all even-column cells in row-major order, then
+// all odd-column cells: with E = ⌈C/2⌉ and O = ⌊C/2⌋, cell (r, c) lives
+// at r·E + c/2 when c is even and at R·E + r·O + c/2 when c is odd. In
+// that layout:
+//
+//   - a row pair (r, c)-(r, c+1) joins an even and an odd cell whose
+//     indices both advance by one as c advances by two, whatever the
+//     parity of c and whichever cell takes the minimum;
+//   - the row-major wrap pair (r, C−1)-(r+1, 0) continues row r's
+//     odd-start pairs, so the fused wrap phase is one run of N/2−1 pairs;
+//   - column pairs (r, c)-(r+1, c) of one column parity sit E or O apart
+//     inside one half and advance by one as c advances by two, so the
+//     uniform and the alternating column steps are both unit-stride.
+//
+// A span is therefore just pair k = (lo+k, hi+k), k < pairs, with lo the
+// min destination, and one sweep serves every span (see sweep).
 
-// span is one compiled span annotated for settled-window skipping. Pair k
-// occupies cells base+k·step (left/top) and its partner one cell (H) or
-// one row (V) away. maxLoRank/minHiRank bound the pairs' destination
-// ranks: the whole span is a guaranteed no-op once the settled prefix
-// covers every min-destination rank (maxLoRank < p) or the settled suffix
-// covers every max-destination rank (minHiRank >= n-s).
+// span is one run of a phase annotated for settled-window skipping. Pair
+// k compares shadow cells lo+k (receives the minimum) and hi+k.
+// maxLoRank/minHiRank bound the pairs' destination ranks: the whole span
+// is a guaranteed no-op once the settled prefix covers every
+// min-destination rank (maxLoRank < p) or the settled suffix covers
+// every max-destination rank (minHiRank >= n-s).
 //
 // For every schedule in the repertoire the destination ranks are affine
 // along the span — pair k's min destination is lr0 + k·dl and its max
-// destination hr0 + k·dh (rows and columns occupy consecutive ranks in
-// each target order, so walking a span walks ranks at a fixed pitch).
-// When that holds the kernel trims settled pairs off the span's ends
-// with permanent per-run cursors, mirroring runDistinctLazy's comparator
-// cursors: the settled windows only grow, so a trimmed pair stays
-// trimmed and cursor advancement is amortized O(1) over the run. (An
-// earlier design recomputed the active window per span per step; the
-// recomputation cost more than the pairs it saved. Advance-only cursors
-// keep the per-visit cost at a couple of compares.) A non-affine span —
-// none exist today — falls back to whole-span skipping only.
+// destination hr0 + k·dh (a span walks its rows two columns at a time,
+// and rows occupy consecutive ranks in each target order). When that holds the kernel trims settled pairs off the span's
+// ends with permanent per-run cursors, mirroring runDistinctLazy's
+// comparator cursors: the settled windows only grow, so a trimmed pair
+// stays trimmed and cursor advancement is amortized O(1) over the run.
+// A non-affine span — none exist in the six schedules — falls back to
+// whole-span skipping only.
 type span struct {
-	base      int32 // flat index of pair 0's left/top cell
-	step      int32 // flat distance between consecutive pairs' base cells
+	lo, hi    int32 // shadow cells of pair 0: min and max destination
 	pairs     int32
 	maxLoRank int32
 	minHiRank int32
 	lr0, dl   int32 // pair k's min-destination rank: lr0 + k·dl
 	hr0, dh   int32 // pair k's max-destination rank: hr0 + k·dh
-	kind      int8
 	affine    bool
 }
 
-// spanPhase is one schedule step compiled into spans, plus the step's
-// total comparator count (trimmed pairs still count as comparisons) and
-// the phase's offset into the per-run cursor array (two cursors per
-// span).
+// spanPhase is one schedule step as spans, plus the step's total
+// comparator count (trimmed pairs still count as comparisons) and the
+// phase's offset into the per-run cursor array (two cursors per span).
 type spanPhase struct {
 	pairs  int64
 	curOff int
@@ -108,23 +111,146 @@ type spanPhase struct {
 }
 
 // spanPlan is the engine-level compilation of a schedule for the span
-// kernel: the span program of the schedule, the rank layout of its target
-// order, and per-span skip bounds. A plan only exists for monotone
-// schedules (every comparator sends the smaller value to the strictly
-// lower target rank), which is what makes the settled-window argument of
-// runDistinctLazy carry over unchanged.
+// kernel: the shadow geometry, the rank layout of the target order, and
+// every phase as spans sorted by rank. A plan only exists for schedules
+// whose steps are pairwise disjoint and monotone (every comparator sends
+// the smaller value to the strictly lower target rank), which is what
+// makes the settled-window argument of runDistinctLazy carry over
+// unchanged.
 type spanPlan struct {
-	name     string
-	n, cols  int
-	curLen   int     // total cursor slots: two per span across all phases
-	rankFlat []int32 // rankFlat[m] = flat cell of target rank m
-	phases   []spanPhase
+	name       string
+	n          int
+	rows, cols int
+	wide       bool    // 32-bit shadow cells (n > 32768), else 16-bit
+	curLen     int     // total cursor slots: two per span across all phases
+	rankPos    []int32 // rankPos[m] = shadow cell of target rank m
+	phases     []spanPhase
+}
+
+// half is the shadow index of the first odd-column cell.
+func (p *spanPlan) half() int { return p.rows * ((p.cols + 1) / 2) }
+
+// index maps flat cell f to its shadow cell.
+func (p *spanPlan) index(f int) int32 { return p.cell(f/p.cols, f%p.cols) }
+
+// cell maps cell (r, c) to its shadow cell.
+func (p *spanPlan) cell(r, c int) int32 {
+	if c&1 == 0 {
+		return int32(r*((p.cols+1)/2) + c>>1)
+	}
+	return int32(p.half() + r*(p.cols/2) + c>>1)
+}
+
+// flat maps shadow cell i back to its flat cell, inverting index.
+func (p *spanPlan) flat(i int32) int {
+	if h := p.half(); int(i) >= h {
+		j, odd := int(i)-h, p.cols/2
+		return j/odd*p.cols + 2*(j%odd) + 1
+	}
+	even := (p.cols + 1) / 2
+	return int(i)/even*p.cols + 2*(int(i)%even)
+}
+
+// comparators expands phase pi back into flat comparators, span by span.
+func (p *spanPlan) comparators(pi int) []sched.Comparator {
+	var out []sched.Comparator
+	for _, sp := range p.phases[pi].spans {
+		for k := int32(0); k < sp.pairs; k++ {
+			out = append(out, sched.Comparator{Lo: int32(p.flat(sp.lo + k)), Hi: int32(p.flat(sp.hi + k))})
+		}
+	}
+	return out
+}
+
+// SpanSteps expands the span kernel's plan for s back into flat
+// comparators, step t at index t−1, and reports false when s gets no
+// plan (a step's comparators overlap or one is non-monotone). The plan
+// is lossless: each step holds exactly the comparator set s.Step(t)
+// yields, which the sched tests check for the whole repertoire.
+func SpanSteps(s sched.Schedule) ([][]sched.Comparator, bool) {
+	rows, cols := s.Dims()
+	plan := buildSpanPlan(s, grid.New(rows, cols))
+	if plan == nil {
+		return nil, false
+	}
+	steps := make([][]sched.Comparator, len(plan.phases))
+	for pi := range steps {
+		steps[pi] = plan.comparators(pi)
+	}
+	return steps, true
+}
+
+// transfer copies the grid into the shadow as v − min (in) or the
+// shadow back into the grid (!in), row by row so no cell costs a
+// division.
+func (p *spanPlan) transfer(sh unsafe.Pointer, gc []int, minVal int, in bool) {
+	for r := 0; r < p.rows; r++ {
+		row := gc[r*p.cols : (r+1)*p.cols]
+		for c := range row {
+			if in {
+				p.set(sh, p.cell(r, c), uint32(row[c]-minVal))
+			} else {
+				row[c] = minVal + int(p.get(sh, p.cell(r, c)))
+			}
+		}
+	}
+}
+
+// settle extends the settled prefix p and suffix s (in ranks) as far as
+// the shadow holds the final values, and reports the new sizes.
+func (p *spanPlan) settle(sh unsafe.Pointer, pre, suf int) (int, int) {
+	n := p.n
+	for pre+suf < n && p.get(sh, p.rankPos[pre]) == uint32(pre) {
+		pre++
+	}
+	for pre+suf < n && p.get(sh, p.rankPos[n-1-suf]) == uint32(n-1-suf) {
+		suf++
+	}
+	return pre, suf
+}
+
+// misplaced counts the unsettled ranks not holding their final value.
+func (p *spanPlan) misplaced(sh unsafe.Pointer, pre, suf int) int {
+	count := 0
+	for m := pre; m < p.n-suf; m++ {
+		if p.get(sh, p.rankPos[m]) != uint32(m) {
+			count++
+		}
+	}
+	return count
+}
+
+// cellSize is the shadow's bytes per cell. A cell holds v − min < n, so
+// its top bit is always clear (see sweepLanes).
+func (p *spanPlan) cellSize() uintptr {
+	if p.wide {
+		return 4
+	}
+	return 2
+}
+
+// words is the shadow's length in 64-bit words.
+func (p *spanPlan) words() int { return (p.n*int(p.cellSize()) + 7) / 8 }
+
+func (p *spanPlan) get(sh unsafe.Pointer, i int32) uint32 {
+	if p.wide {
+		return *(*uint32)(unsafe.Add(sh, 4*uintptr(i)))
+	}
+	return uint32(*(*uint16)(unsafe.Add(sh, 2*uintptr(i))))
+}
+
+func (p *spanPlan) set(sh unsafe.Pointer, i int32, v uint32) {
+	if p.wide {
+		*(*uint32)(unsafe.Add(sh, 4*uintptr(i))) = v
+		return
+	}
+	*(*uint16)(unsafe.Add(sh, 2*uintptr(i))) = uint16(v)
 }
 
 // spanPlans caches plans for shared compiled schedules; a nil entry
-// records "no span plan" (unclassifiable or non-monotone) so ineligible
-// schedules are not re-examined on every run. Ad-hoc schedule values get
-// a fresh plan per run, mirroring lazyPlans.
+// records "no span plan" (overlapping or non-monotone steps) so
+// ineligible schedules are not re-examined on every run. Ad-hoc schedule
+// values get a fresh plan per run, mirroring lazyPlans.
 var spanPlans sync.Map // *sched.Compiled -> *spanPlan (nil = ineligible)
 
 func spanPlanFor(s sched.Schedule, g *grid.Grid) *spanPlan {
@@ -142,59 +268,70 @@ func spanPlanFor(s sched.Schedule, g *grid.Grid) *spanPlan {
 	return plan
 }
 
-// buildSpanPlan compiles s for the span kernel, returning nil when the
-// schedule has no span form or violates monotonicity.
+// buildSpanPlan compiles s for the span kernel, returning nil when a
+// step's comparators overlap or one is non-monotone. Each phase is built
+// in O(pairs): every pair is placed at its lo cell, a pair whose
+// predecessor cell does not hold the pair (lo−1, hi−1) starts a span,
+// and the span extends while both ends advance by one. Spans never cross
+// from the even half into the odd half, so each span's lo cells lie in
+// one half and the sharded executor can cut it by rows.
 func buildSpanPlan(s sched.Schedule, g *grid.Grid) *spanPlan {
-	var prog *sched.SpanProgram
-	var ok bool
-	if c, isCompiled := s.(*sched.Compiled); isCompiled {
-		prog, ok = sched.CachedSpans(c)
-	} else {
-		prog, ok = sched.CompileSpans(s)
-	}
-	if !ok {
-		return nil
-	}
-	n := g.Len()
-	cols := g.Cols()
+	rows, cols := s.Dims()
+	n := rows * cols
 	order := s.Order()
-	plan := &spanPlan{name: s.Name(), n: n, cols: cols, rankFlat: make([]int32, n)}
-	rank := make([]int32, n) // rank[flat] = target rank of flat cell
+	plan := &spanPlan{name: s.Name(), n: n, rows: rows, cols: cols, wide: n > 1<<15, rankPos: make([]int32, n)}
+	rank := make([]int32, n) // rank[i] = target rank of shadow cell i
 	for m := 0; m < n; m++ {
-		f := g.RankFlat(order, m)
-		plan.rankFlat[m] = int32(f)
-		rank[f] = int32(m)
+		i := plan.index(g.RankFlat(order, m))
+		plan.rankPos[m] = i
+		rank[i] = int32(m)
 	}
-	plan.phases = make([]spanPhase, prog.Period())
-	for t := 1; t <= prog.Period(); t++ {
-		sp := prog.Spans(t)
-		ph := &plan.phases[t-1]
-		ph.pairs = int64(sp.Pairs)
+	half := int32(plan.half())
+	phases := sched.PhasesOf(s)
+	plan.phases = make([]spanPhase, len(phases))
+	next := make([]int32, n) // next[lo] = hi+1 of the current phase's pair at lo, 0 if none
+	used := make([]int32, n) // used[i] = 1 + index of the last phase touching cell i
+	for pi, comps := range phases {
+		ph := &plan.phases[pi]
+		ph.pairs = int64(len(comps))
 		ph.curOff = plan.curLen
-		plan.curLen += 2 * (len(sp.H) + len(sp.V))
-		ph.spans = make([]span, 0, len(sp.H)+len(sp.V))
-		for _, h := range sp.H {
-			s := span{base: h.Start, step: 2, pairs: h.Pairs, kind: kindHFwd}
-			loOff, hiOff := int32(0), int32(1)
-			if h.Rev {
-				loOff, hiOff = 1, 0
-				s.kind = kindHRev
-			}
-			if !finishSpan(&s, rank, loOff, hiOff) {
+		stamp := int32(pi + 1)
+		for _, c := range comps {
+			lo, hi := plan.index(int(c.Lo)), plan.index(int(c.Hi))
+			if used[lo] == stamp || used[hi] == stamp || lo == hi {
 				return nil
 			}
-			ph.spans = append(ph.spans, s)
+			used[lo], used[hi] = stamp, stamp
+			next[lo] = hi + 1
 		}
-		for _, v := range sp.V {
-			s := span{base: v.Top, step: v.Stride, pairs: v.Pairs, kind: kindVN}
-			if v.Stride == 1 {
-				s.kind = kindV1
+		for _, c := range comps {
+			lo := plan.index(int(c.Lo))
+			hi := next[lo] - 1
+			if lo != half && lo > 0 && hi > 0 && next[lo-1] == hi {
+				continue // not the first pair of its span
 			}
-			if !finishSpan(&s, rank, 0, int32(cols)) {
+			sp := span{lo: lo, hi: hi, pairs: 1}
+			for e := lo + 1; e < int32(n) && e != half && next[e] == hi+sp.pairs+1; e++ {
+				sp.pairs++
+			}
+			if !finishSpan(&sp, rank) {
 				return nil
 			}
-			ph.spans = append(ph.spans, s)
+			ph.spans = append(ph.spans, sp)
 		}
+		for _, c := range comps {
+			next[plan.index(int(c.Lo))] = 0
+		}
+		// Rank order puts the spans a settled window covers at the ends
+		// of the list, where the window cursors drop them.
+		sort.Slice(ph.spans, func(i, j int) bool {
+			a, b := &ph.spans[i], &ph.spans[j]
+			if a.maxLoRank != b.maxLoRank {
+				return a.maxLoRank < b.maxLoRank
+			}
+			return a.lo < b.lo
+		})
+		plan.curLen += 2 * len(ph.spans)
 	}
 	return plan
 }
@@ -204,18 +341,16 @@ func buildSpanPlan(s sched.Schedule, g *grid.Grid) *spanPlan {
 // accumulates the span's destination-rank bounds, and detects the affine
 // rank pitch that enables end trimming. Returns false — no span plan —
 // when a pair is non-monotone.
-func finishSpan(s *span, rank []int32, loOff, hiOff int32) bool {
+func finishSpan(s *span, rank []int32) bool {
 	s.maxLoRank, s.minHiRank = -1, int32(len(rank))
-	s.lr0, s.hr0 = rank[s.base+loOff], rank[s.base+hiOff]
+	s.lr0, s.hr0 = rank[s.lo], rank[s.hi]
 	if s.pairs > 1 {
-		cell := s.base + s.step
-		s.dl = rank[cell+loOff] - s.lr0
-		s.dh = rank[cell+hiOff] - s.hr0
+		s.dl = rank[s.lo+1] - s.lr0
+		s.dh = rank[s.hi+1] - s.hr0
 	}
 	s.affine = true
 	for k := int32(0); k < s.pairs; k++ {
-		cell := s.base + k*s.step
-		lr, hr := rank[cell+loOff], rank[cell+hiOff]
+		lr, hr := rank[s.lo+k], rank[s.hi+k]
 		if lr >= hr {
 			return false
 		}
@@ -228,13 +363,32 @@ func finishSpan(s *span, rank []int32, loOff, hiOff int32) bool {
 	return true
 }
 
-// spanValuesFit reports whether the grid's contiguous value range
-// [min, min+n) fits in the span kernel's int32 shadow. Always true for
-// the harness's 1..N permutations; a pathological permutation of a range
-// near the int bounds falls back to the generic kernel.
-func spanValuesFit(tr *grid.DistinctTracker, n int) bool {
-	_, minVal := tr.Home()
-	return minVal >= math.MinInt32 && int64(minVal)+int64(n)-1 <= math.MaxInt32
+// permutationMin reports whether g holds a permutation of a contiguous
+// range — the grids grid.NewTracker tracks with a DistinctTracker — and
+// returns the range's minimum. A permutation of {0, 1} (at most two
+// cells) is excluded: NewTracker tracks it as a 0-1 grid, whose
+// ErrStepLimit count differs.
+//
+//meshlint:exempt oblivious input classification (which executor may run this trial), decided once before the first step
+func permutationMin(g *grid.Grid) (int, bool) {
+	cells := g.Cells()
+	lo, hi := cells[0], cells[0]
+	for _, v := range cells {
+		lo = min(lo, v)
+		hi = max(hi, v)
+	}
+	if uint(hi-lo) != uint(len(cells)-1) || (lo >= 0 && hi <= 1) {
+		return 0, false
+	}
+	seen := make([]uint64, (len(cells)+63)/64)
+	for _, v := range cells {
+		d := uint(v - lo)
+		if seen[d>>6]&(1<<(d&63)) != 0 {
+			return 0, false
+		}
+		seen[d>>6] |= 1 << (d & 63)
+	}
+	return lo, true
 }
 
 // b2i converts a comparison outcome to a swap increment without a
@@ -248,158 +402,71 @@ func b2i(b bool) int {
 	return 0
 }
 
-// The exec loops run over an int32 shadow of the grid (see
-// runDistinctSpans): permutation values are bounded by the cell count, so
-// narrowing is exact, and it halves the bytes the hot loops move.
-//
-// On little-endian hosts with an 8-byte-aligned shadow, a horizontal pair
-// of adjacent int32 cells starting on an even flat index is exactly one
-// uint64 word, so those sweeps carry a reinterpreted []uint64 view and
-// compare-exchange whole words: one load and one store per pair instead
-// of two of each, which is what the scalar loops are bound by. Only the
-// aligned case is word-packed — odd-start sweeps would need a serial
-// carry between adjacent words (a loop-borne dependency the profiler
-// showed costing 2-3x the aligned loop) and vertical sweeps would spend
-// more on lane packing than the saved stores, so both stay scalar. Every
-// word path has a scalar twin that is the semantic definition; the
-// differential suites exercise them against each other on every
-// little-endian build.
-
-// hostLittleEndian reports whether int32 lane 0 of a uint64 view is the
-// low half. The word-packed sweeps assume it; big-endian hosts take the
-// scalar paths.
-var hostLittleEndian = func() bool {
-	var p [2]int32
-	p[0] = 1
-	return *(*uint64)(unsafe.Pointer(&p[0])) == 1
-}()
-
-// wordView reinterprets the int32 shadow as packed uint64 words (cells
-// 2j and 2j+1 become word j). Returns nil — callers fall back to scalar
-// sweeps — on big-endian hosts or if the allocator handed back a shadow
-// that is not 8-byte aligned (possible only for tiny grids).
-func wordView(cells []int32) []uint64 {
-	if !hostLittleEndian || len(cells) < 2 {
-		return nil
-	}
-	if uintptr(unsafe.Pointer(&cells[0]))&7 != 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&cells[0])), len(cells)>>1)
-}
-
-// execHSpanFwd applies the forward pairs (start+2k, start+2k+1), smaller
-// value to the left cell, with branchless min/max and no per-comparator
-// struct loads. Returns the number of exchanges (strict a > b, exactly
-// like the comparator executors).
+// sweep compare-exchanges the pairs (lo+k, hi+k), k < pairs, of the
+// shadow sh, smaller value to lo, and returns the number of exchanges
+// (strict a > b, exactly like the comparator executors).
 //
 //meshlint:hot
-func execHSpanFwd(cells []int32, u []uint64, start, pairs int32) int {
-	if u != nil && start&1 == 0 {
-		return execHFwdWords(u[start>>1 : int(start>>1)+int(pairs)])
+func sweep(sh unsafe.Pointer, wide bool, lo, hi, pairs int32) int {
+	if wide {
+		return sweepLanes[uint32](sh, lo, hi, pairs)
 	}
-	swaps := 0
-	w := cells[start : int(start)+2*int(pairs)]
-	for k := 1; k < len(w); k += 2 {
-		a, b := w[k-1], w[k]
-		w[k-1] = min(a, b)
-		w[k] = max(a, b)
-		swaps += b2i(a > b)
-	}
-	return swaps
+	return sweepLanes[uint16](sh, lo, hi, pairs)
 }
 
-// execHFwdWords is the aligned word form of a forward sweep: each word
-// is one pair, and the sorted word is either the word itself or its
-// 32-bit rotation, picked by one conditional move — no lane unpacking
-// or repacking on the store path.
+// sweepLanes is sweep over shadow cells of type T. It works SWAR ("SIMD
+// within a register"): a step's pairs are disjoint, so the lo and hi
+// runs never overlap, and whole 64-bit words of each — four 16-bit or
+// two 32-bit lanes — are loaded, compare-exchanged lane-wise, and stored
+// back. With every lane below its top bit H:
+//
+//	gt = ^((y | H) − x) & H     H set in each lane where x > y
+//	m  = gt | (gt − gt>>top)    that lane all ones, the others zero
+//	x, y = x ^ (x^y)&m, y ^ (x^y)&m
+//
+// (y|H) − x never borrows across lanes because x < H. gt>>top adds one
+// per exchanged lane to a lane-wise swap count, which one multiply sums
+// at the end; neither a lane's count nor the sum can overflow a lane,
+// since a span has at most N/2 pairs and N ≤ 32768 for 16-bit lanes. The lane geometry follows from T at compile time, so each
+// instantiation runs on constants. The loads are unaligned native
+// loads; the lanes are the cells in native order, so the arithmetic is
+// the same on either byte order. The tail of fewer pairs than a word's
+// lanes runs scalar: no store touches a lane outside the span, because
+// shards sweep their spans concurrently.
 //
 //meshlint:hot
-func execHFwdWords(w []uint64) int {
-	swaps := 0
-	for k, x := range w {
-		r := x>>32 | x<<32
-		gt := int32(uint32(x)) > int32(x>>32)
-		if gt {
-			x = r
-		}
-		w[k] = x
-		swaps += b2i(gt)
+func sweepLanes[T uint16 | uint32](sh unsafe.Pointer, lo, hi, pairs int32) int {
+	var zero T
+	cell := uint64(^zero) // all ones in one cell: 0xFFFF or 0xFFFF_FFFF
+	size := uintptr(2)
+	if cell > 0xFFFF {
+		size = 4
 	}
-	return swaps
-}
-
-// execHSpanRev is the reverse-direction variant: smaller value to the
-// right cell. The comparator's Lo is the right cell, so an exchange
-// happens exactly when w[k+1] > w[k] held before the step.
-//
-//meshlint:hot
-func execHSpanRev(cells []int32, u []uint64, start, pairs int32) int {
-	if u != nil && start&1 == 0 {
-		return execHRevWords(u[start>>1 : int(start>>1)+int(pairs)])
-	}
+	top := 8*size - 1
+	high := ^uint64(0) / cell << top // every lane's top bit
+	a := unsafe.Pointer(uintptr(sh) + uintptr(lo)*size)
+	b := unsafe.Pointer(uintptr(sh) + uintptr(hi)*size)
+	words := uintptr(pairs) * size >> 3
 	swaps := 0
-	w := cells[start : int(start)+2*int(pairs)]
-	for k := 1; k < len(w); k += 2 {
-		a, b := w[k-1], w[k]
-		w[k-1] = max(a, b)
-		w[k] = min(a, b)
-		swaps += b2i(b > a)
-	}
-	return swaps
-}
-
-// execHRevWords mirrors execHFwdWords with the larger value kept left.
-//
-//meshlint:hot
-func execHRevWords(w []uint64) int {
-	swaps := 0
-	for k, x := range w {
-		r := x>>32 | x<<32
-		gt := int32(x>>32) > int32(uint32(x))
-		if gt {
-			x = r
-		}
-		w[k] = x
-		swaps += b2i(gt)
-	}
-	return swaps
-}
-
-// execVSpan1 applies a stride-1 vertical span: a contiguous run of
-// columns compared against the same run one row below, as two streaming
-// slices. This is the memory-order traversal of a uniform-parity column
-// step — the engine iterates rows, not comparators.
-//
-//meshlint:hot
-func execVSpan1(cells []int32, top, pairs, cols int32) int {
-	swaps := 0
-	t := cells[top : top+pairs]
-	b := cells[top+cols : top+cols+pairs]
-	b = b[:len(t)] // hoist the bounds proof out of the loop
-	for k := range t {
-		x, y := t[k], b[k]
-		t[k] = min(x, y)
-		b[k] = max(x, y)
+	// The scalar tail goes first so that little stays live across the
+	// word loop, which would otherwise spill its temporaries.
+	for off := 8 * words; off < uintptr(pairs)*size; off += size {
+		pa, pb := (*T)(unsafe.Pointer(uintptr(a)+off)), (*T)(unsafe.Pointer(uintptr(b)+off))
+		x, y := *pa, *pb
+		*pa, *pb = min(x, y), max(x, y)
 		swaps += b2i(x > y)
 	}
-	return swaps
-}
-
-// execVSpanN applies a strided vertical span (stride 2 for the
-// alternating-parity column steps of SN-B/SN-C).
-//
-//meshlint:hot
-func execVSpanN(cells []int32, top, stride, pairs, cols int32) int {
-	swaps := 0
-	for k := int32(0); k < pairs; k++ {
-		i := top + k*stride
-		x, y := cells[i], cells[i+cols]
-		cells[i] = min(x, y)
-		cells[i+cols] = max(x, y)
-		swaps += b2i(x > y)
+	var acc uint64
+	for i := uintptr(0); i < words; i++ {
+		pa, pb := (*uint64)(unsafe.Pointer(uintptr(a)+8*i)), (*uint64)(unsafe.Pointer(uintptr(b)+8*i))
+		x, y := *pa, *pb
+		gt := ^((y | high) - x) & high
+		one := gt >> top
+		acc += one
+		t := (x ^ y) & (gt | (gt - one))
+		*pa, *pb = x^t, y^t
 	}
-	return swaps
+	return swaps + int(acc*(high>>top)>>(63-top))
 }
 
 // execPhaseSpans runs one span list — a whole phase for the serial
@@ -412,7 +479,7 @@ func execVSpanN(cells []int32, top, stride, pairs, cols int32) int {
 //
 //meshlint:exempt oblivious settled-window trimming around a branchless span sweep; exactness is proven by the differential suites
 //meshlint:hot
-func execPhaseSpans(cells []int32, u []uint64, spans []span, cur, win []int32, p32, ns32, cols int32) int {
+func execPhaseSpans(sh unsafe.Pointer, wide bool, spans []span, cur, win []int32, p32, ns32 int32) int {
 	swaps := 0
 	jLo, jHi := win[0], win[1]
 	for jLo < jHi {
@@ -467,63 +534,40 @@ func execPhaseSpans(cells []int32, u []uint64, spans []span, cur, win []int32, p
 				continue
 			}
 		}
-		base := sp.base + kLo*sp.step
-		pairs := kHi - kLo
-		switch sp.kind {
-		case kindHFwd:
-			swaps += execHSpanFwd(cells, u, base, pairs)
-		case kindHRev:
-			swaps += execHSpanRev(cells, u, base, pairs)
-		case kindV1:
-			swaps += execVSpan1(cells, base, pairs, cols)
-		default:
-			swaps += execVSpanN(cells, base, sp.step, pairs, cols)
-		}
+		swaps += sweep(sh, wide, sp.lo+kLo, sp.hi+kLo, kHi-kLo)
 	}
 	return swaps
 }
 
 // runDistinctSpans is the span kernel: the permutation fast path executed
-// as typed span sweeps instead of comparator slices. The inner loops are
-// branchless (min/max compile to conditional moves, the swap counter to a
-// SETcc), run over an int32 shadow of the grid (half the memory traffic;
-// permutation values fit exactly), column steps run in memory order, and
-// the settled-window machinery of runDistinctLazy carries over at span
-// granularity: once the P smallest values occupy their final cells, a
-// span whose every min-destination rank lies below P cannot swap and is
-// skipped whole (symmetrically for the suffix), so the early exit fires
-// on exactly the same step. Skipped spans still count their comparisons,
-// so Steps, Swaps, and Comparisons are bit-identical to every other
-// executor — the differential suites prove it.
+// as span sweeps instead of comparator slices. The sweeps are branchless
+// SWAR loops over the narrow shadow (see sweep), and the settled-window
+// machinery of runDistinctLazy carries over at span granularity: once
+// the P smallest values occupy their final cells, a span whose every
+// min-destination rank lies below P cannot swap and is skipped whole
+// (symmetrically for the suffix), so the early exit fires on exactly the
+// same step. Skipped spans still count their comparisons, so Steps,
+// Swaps, and Comparisons are bit-identical to every other executor — the
+// differential suites prove it. minVal is the grid's smallest value, as
+// found by permutationMin.
 //
 //meshlint:exempt oblivious settled-window completion detection around a branchless span sweep; exactness is proven by the differential suites
-func runDistinctSpans(g *grid.Grid, plan *spanPlan, maxSteps int, tr *grid.DistinctTracker) (Result, error) {
+func runDistinctSpans(g *grid.Grid, plan *spanPlan, maxSteps, minVal int) (Result, error) {
 	gc := g.Cells()
-	_, minVal := tr.Home()
 	n := plan.n
-	cols := int32(plan.cols)
-	rankFlat := plan.rankFlat
-
-	// Shadow the grid in int32: the sweeps move half the bytes, and the
-	// O(N) copies at entry and exit are amortized over Θ(N) steps.
-	cells := make([]int32, n)
-	for i, v := range gc {
-		cells[i] = int32(v)
-	}
-	u := wordView(cells)
-	writeBack := func() {
-		for i, v := range cells {
-			gc[i] = int(v)
-		}
-	}
+	sh := unsafe.Pointer(unsafe.SliceData(make([]uint64, plan.words())))
+	plan.transfer(sh, gc, minVal, true)
 
 	var res Result
-	period := len(plan.phases)
-	pi := 0
+	p, s := plan.settle(sh, 0, 0) // settled prefix / suffix sizes, in ranks
+	if p+s >= n {
+		res.Sorted = true
+		return res, nil
+	}
 
 	// Per-run trim cursors, two per span: the active pair window
 	// [cur[c], cur[c+1]) of each affine span. They only advance (the
-	// settled windows only grow), so the trims below are amortized O(1).
+	// settled windows only grow), so the trims are amortized O(1).
 	// win holds two more cursors per phase bounding the active span
 	// window [win[2i], win[2i+1]): a span whose skip condition holds is
 	// skippable forever, so phases stop visiting their settled ends
@@ -538,43 +582,25 @@ func runDistinctSpans(g *grid.Grid, plan *spanPlan, maxSteps int, tr *grid.Disti
 		}
 	}
 
-	p, s := 0, 0 // settled prefix / suffix sizes, in ranks
-	min32 := int32(minVal)
-	for p+s < n && cells[rankFlat[p]] == min32+int32(p) {
-		p++
-	}
-	for p+s < n && cells[rankFlat[n-1-s]] == min32+int32(n-1-s) {
-		s++
-	}
+	period := len(plan.phases)
+	pi := 0
 	for t := 1; t <= maxSteps; t++ {
 		ph := &plan.phases[pi]
 		w := 2 * pi
 		if pi++; pi == period {
 			pi = 0
 		}
-		p32, ns32 := int32(p), int32(n-s)
-		swaps := execPhaseSpans(cells, u, ph.spans, cur[ph.curOff:], win[w:w+2], p32, ns32, cols)
+		swaps := execPhaseSpans(sh, plan.wide, ph.spans, cur[ph.curOff:], win[w:w+2], int32(p), int32(n-s))
 		res.Swaps += int64(swaps)
 		res.Comparisons += ph.pairs
-		for p+s < n && cells[rankFlat[p]] == min32+int32(p) {
-			p++
-		}
-		for p+s < n && cells[rankFlat[n-1-s]] == min32+int32(n-1-s) {
-			s++
-		}
-		if p+s >= n {
+		if p, s = plan.settle(sh, p, s); p+s >= n {
 			res.Steps = t
 			res.Sorted = true
-			writeBack()
+			plan.transfer(sh, gc, minVal, false)
 			return res, nil
 		}
 	}
-	misplaced := 0
-	for m := p; m < n-s; m++ {
-		if cells[rankFlat[m]] != min32+int32(m) {
-			misplaced++
-		}
-	}
-	writeBack()
+	misplaced := plan.misplaced(sh, p, s)
+	plan.transfer(sh, gc, minVal, false)
 	return res, &ErrStepLimit{Algorithm: plan.name, MaxSteps: maxSteps, Misplaced: misplaced}
 }

@@ -56,3 +56,21 @@ func TestAutoShardTrials(t *testing.T) {
 		t.Fatalf("AutoShardTrials(10000,3)=%d yields %d shards, want ~12", size, n)
 	}
 }
+
+// TestShardRequestToSpecChecksMesh: a worker refuses a shard whose mesh
+// the algorithm cannot run instead of panicking while building its
+// schedule.
+func TestShardRequestToSpecChecksMesh(t *testing.T) {
+	for _, req := range []ShardRequest{
+		{Algorithm: "rm-rf", Rows: 15, Cols: 15, Trials: 64},
+		{Algorithm: "rm-cf", Rows: 8, Cols: 7, Trials: 64},
+		{Algorithm: "snake-a", Rows: 0, Cols: 8, Trials: 64},
+	} {
+		if _, err := req.ToSpec(); err == nil {
+			t.Errorf("%+v: accepted", req)
+		}
+	}
+	if _, err := (ShardRequest{Algorithm: "snake-a", Rows: 15, Cols: 15, Trials: 64}).ToSpec(); err != nil {
+		t.Errorf("snake-a 15x15: %v", err)
+	}
+}

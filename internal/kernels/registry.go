@@ -77,7 +77,7 @@ var registry = []Entry{
 	{core.KernelSpanSharded, "span-sharded", []Class{Permutation}, 5,
 		"sharded span executor; cache-blocked row shards behind a phase barrier — for meshes that outgrow one core's cache", spanShardedGate},
 	{core.KernelSpan, "span", []Class{Permutation}, 10,
-		"compiled span programs; branchless strided sweeps over the mesh", nil},
+		"split-parity span plans; one SWAR sweep of unit-stride runs, four 16-bit or two 32-bit cells per word", nil},
 	{core.KernelSliced, "sliced", []Class{ZeroOne}, 10,
 		"trial-sliced 0-1 kernel; 64 trials in lockstep, one bit lane each", nil},
 	{core.KernelPacked, "packed", []Class{ZeroOne}, 50,

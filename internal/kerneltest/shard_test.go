@@ -2,11 +2,15 @@ package kerneltest_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/grid"
+	"repro/internal/kerneltest"
 	"repro/internal/mcbatch"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -108,6 +112,60 @@ func TestShardedBatchContention(t *testing.T) {
 			}
 			if !reflect.DeepEqual(b.Trials, ref.Trials) || b.Steps != ref.Steps {
 				t.Fatalf("workers=%d shards=%d: sharded batch diverged from serial span batch", workers, shards)
+			}
+		}
+	}
+}
+
+// TestLaneWidthBoundary runs every schedule on meshes either side of the
+// span kernel's cell-width switch — 128×256 = 32768 cells (16-bit shadow
+// cells) and 182×182 = 33124 cells (32-bit) — and requires every engine
+// executor to match the generic comparator executor exactly: Result,
+// ErrStepLimit fields, and final grid. Runs are step-capped, with caps
+// landing mid-phase, and inputs include a permutation shifted to
+// negative values, so the shadow's v − min encoding is exercised at both
+// widths.
+func TestLaneWidthBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large meshes: skipped under -short")
+	}
+	for _, shape := range [][2]int{{128, 256}, {182, 182}} {
+		rows, cols := shape[0], shape[1]
+		src := rng.NewStream(0x1A4E, uint64(rows))
+		perm := workload.RandomPermutation(src, rows, cols)
+		shifted := workload.RandomPermutation(src, rows, cols)
+		for i := range shifted.Cells() {
+			shifted.Cells()[i] -= rows * cols / 2
+		}
+		for _, alg := range algs() {
+			s, err := sched.Cached(alg, rows, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, maxSteps := range []int{1, s.Period() + 1, 37} {
+				for _, in := range []struct {
+					name  string
+					input *grid.Grid
+				}{{"permutation", perm}, {"shifted", shifted}} {
+					input := in.input
+					ref := input.Clone()
+					want, wantErr := engine.Run(ref, s, engine.Options{Kernel: engine.KernelGeneric, MaxSteps: maxSteps})
+					for _, ex := range kerneltest.Executors() {
+						if ex.Needs != kerneltest.AnyInput {
+							continue
+						}
+						got := input.Clone()
+						res, err := ex.Run(got, alg, maxSteps)
+						label := fmt.Sprintf("%s %dx%d cap=%d %s [%s]", alg, rows, cols, maxSteps, in.name, ex.Name)
+						var wantLim, gotLim *engine.ErrStepLimit
+						if !errors.As(wantErr, &wantLim) || !errors.As(err, &gotLim) || *wantLim != *gotLim {
+							t.Fatalf("%s: err %v, generic %v", label, err, wantErr)
+						}
+						if res != want || !got.Equal(ref) {
+							t.Fatalf("%s: result %+v, generic %+v (grids equal: %v)", label, res, want, got.Equal(ref))
+						}
+					}
+				}
 			}
 		}
 	}

@@ -72,7 +72,7 @@ func TestDiff(t *testing.T) {
 		Go:              "goX",
 		Files: map[string]map[string]FuncDiag{
 			"internal/engine/span.go": {
-				"execHFwdWords":    {BoundsChecks: 0},
+				"sweepLanes":       {BoundsChecks: 0},
 				"runDistinctSpans": {BoundsChecks: 3, Escapes: []string{"make([]int32, n) escapes to heap"}},
 			},
 		},
@@ -82,7 +82,7 @@ func TestDiff(t *testing.T) {
 		Go:              "goX",
 		Files: map[string]map[string]FuncDiag{
 			"internal/engine/span.go": {
-				"execHFwdWords":    {BoundsChecks: 0},
+				"sweepLanes":       {BoundsChecks: 0},
 				"runDistinctSpans": {BoundsChecks: 3, Escapes: []string{"make([]int32, n) escapes to heap"}},
 			},
 		},
@@ -97,8 +97,8 @@ func TestDiff(t *testing.T) {
 		want   string
 	}{
 		{"reintroduced bounds check", func(m *Manifest) {
-			m.Files["internal/engine/span.go"]["execHFwdWords"] = FuncDiag{BoundsChecks: 1}
-		}, "execHFwdWords: bounds checks 0 -> 1"},
+			m.Files["internal/engine/span.go"]["sweepLanes"] = FuncDiag{BoundsChecks: 1}
+		}, "sweepLanes: bounds checks 0 -> 1"},
 		{"new heap escape", func(m *Manifest) {
 			d := m.Files["internal/engine/span.go"]["runDistinctSpans"]
 			d.Escapes = append(append([]string{}, d.Escapes...), "x escapes to heap")
@@ -110,13 +110,13 @@ func TestDiff(t *testing.T) {
 			m.Files["internal/engine/span.go"]["runDistinctSpans"] = d
 		}, "runDistinctSpans: heap escapes"},
 		{"new dirty function", func(m *Manifest) {
-			m.Files["internal/engine/span.go"]["execVSpan1"] = FuncDiag{BoundsChecks: 2}
-		}, "execVSpan1: bounds checks 0 -> 2"},
+			m.Files["internal/engine/span.go"]["sweep"] = FuncDiag{BoundsChecks: 2}
+		}, "sweep: bounds checks 0 -> 2"},
 	}
 	for _, c := range cases {
 		cur := &Manifest{ManifestVersion: ManifestVersion, Go: "goX", Files: map[string]map[string]FuncDiag{
 			"internal/engine/span.go": {
-				"execHFwdWords":    {BoundsChecks: 0},
+				"sweepLanes":       {BoundsChecks: 0},
 				"runDistinctSpans": {BoundsChecks: 3, Escapes: []string{"make([]int32, n) escapes to heap"}},
 			},
 		}}

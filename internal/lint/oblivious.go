@@ -33,13 +33,14 @@ var gridValueReaders = map[string]bool{
 // cell values. This is what justifies the compiled-schedule cache, the
 // bit-packed 0-1 kernel, and every 0-1-principle argument: the comparator
 // sequence is a function of (step, mesh shape) alone. It is also what
-// makes the span kernel sound: sched.CompileSpans may classify a step
-// into typed strided sweeps precisely because the comparator set never
-// depends on data, so the compilation is pure index arithmetic and must
+// makes the span kernel sound: the engine's span plan may compile a step
+// once into unit-stride runs precisely because the comparator set never
+// depends on data, so building the plan is pure index arithmetic and must
 // pass this analyzer with no exemption at all. In the engine's span
-// executor only the settled-window driver (runDistinctSpans) is exempt;
-// the innermost exec sweeps are branchless — min/max and a SETcc-counted
-// swap — and are required to stay taint-free.
+// executor only the settled-window run loops and the input classification
+// (permutationMin) are exempt; the innermost SWAR sweep is branchless —
+// lane-wise masks, min/max and a SETcc-counted swap in the tail — and is
+// required to stay taint-free.
 //
 // The check is an intraprocedural taint analysis. Calls to grid.Grid
 // value accessors (At, AtFlat, Cells, …) seed the taint; assignments and

@@ -13,15 +13,12 @@ import (
 //   - Step and Phases methods are pure reads: they never write receiver
 //     fields, package-level variables, or captured variables, so a shared
 //     schedule can be stepped from any number of goroutines without
-//     synchronization. The span-program accessors Spans and Comparators
-//     are held to the same contract — sched.CachedSpans shares one
-//     SpanProgram across all concurrent trials exactly like Cached shares
-//     a Compiled.
+//     synchronization. Methods named Spans and Comparators — the names a
+//     derived view of a shared schedule takes — are held to the same
+//     contract.
 //   - Schedule constructors (New*, Compile*, ByName, Cached*) never write
 //     package-level variables directly; process-wide caches must go
 //     through a synchronized container (sync.Map), not a bare global.
-//     CompileSpans and CachedSpans match the Compile*/Cached* prefixes, so
-//     the span compiler's cache is covered by the same rule.
 //
 // A memoizing Step ("cache the last comparator slice in a field") would
 // pass every single-goroutine test and corrupt results only under the
@@ -45,8 +42,8 @@ var SchedPurity = &Analyzer{
 }
 
 // readOnlyMethods are the schedule methods that must stay pure. Spans and
-// Comparators are the SpanProgram accessors: shared read-only through
-// sched.CachedSpans, so they carry the same no-write contract.
+// Comparators name derived views of a shared schedule, so they carry the
+// same no-write contract.
 var readOnlyMethods = map[string]bool{
 	"Step":        true,
 	"Phases":      true,

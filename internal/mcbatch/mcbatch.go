@@ -23,10 +23,10 @@
 //     batch's workload class; otherwise the $MESHSORT_KERNEL override, a
 //     calibrated choice, or the static priors pick one. The priors keep
 //     the measured defaults — the engine's span kernel for permutation
-//     trials (branchless strided sweeps) and the trial-sliced 0-1 kernel
-//     for ZeroOne batches (64 trials in lockstep, one bit lane each) —
-//     and every registered kernel of a class is bit-identical on it, so
-//     the choice can never change results.
+//     trials (SWAR sweeps of unit-stride runs) and the trial-sliced 0-1
+//     kernel for ZeroOne batches (64 trials in lockstep, one bit lane
+//     each) — and every registered kernel of a class is bit-identical on
+//     it, so the choice can never change results.
 package mcbatch
 
 import (
@@ -234,8 +234,8 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 	if spec.Trials < 0 {
 		return nil, fmt.Errorf("mcbatch: negative trial count %d", spec.Trials)
 	}
-	if spec.Rows < 1 || spec.Cols < 1 {
-		return nil, fmt.Errorf("mcbatch: invalid mesh %dx%d", spec.Rows, spec.Cols)
+	if err := spec.Algorithm.CheckMesh(spec.Rows, spec.Cols); err != nil {
+		return nil, fmt.Errorf("mcbatch: %w", err)
 	}
 	if spec.TrialOffset < 0 {
 		return nil, fmt.Errorf("mcbatch: negative trial offset %d", spec.TrialOffset)

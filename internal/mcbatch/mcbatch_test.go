@@ -218,3 +218,18 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("mis-shaped Gen accepted")
 	}
 }
+
+// TestRunRejectsOddColumnRowMajor: a row-major spec with an odd column
+// count returns an error from every entry class instead of panicking in
+// the schedule constructor on a worker goroutine.
+func TestRunRejectsOddColumnRowMajor(t *testing.T) {
+	for _, zeroOne := range []bool{false, true} {
+		spec := Spec{Algorithm: core.RowMajorRowFirst, Rows: 15, Cols: 15, Trials: 4, ZeroOne: zeroOne}
+		if _, err := RunCtx(context.Background(), spec); err == nil {
+			t.Fatalf("zeroone=%v: rm-rf 15x15 accepted", zeroOne)
+		}
+	}
+	if _, err := RunCtx(context.Background(), Spec{Algorithm: core.SnakeA, Rows: 15, Cols: 15, Trials: 4}); err != nil {
+		t.Fatalf("snake-a 15x15: %v", err)
+	}
+}

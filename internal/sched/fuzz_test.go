@@ -52,30 +52,6 @@ func FuzzScheduleDisjoint(f *testing.F) {
 				seen[lo], seen[hi] = step, step
 			}
 		}
-		// Every schedule in this package must classify into spans, and the
-		// span expansion must be exactly the comparator set of Step(t)
-		// (as a set: spans reorder freely because steps are disjoint).
-		prog, ok := CompileSpans(s)
-		if !ok {
-			t.Fatalf("%s %dx%d: did not classify into spans", name, r, c)
-		}
-		for step := 1; step <= s.Period(); step++ {
-			want := append([]Comparator(nil), s.Step(step)...)
-			got := prog.Comparators(step)
-			if len(got) != len(want) {
-				t.Fatalf("%s %dx%d step %d: span expansion has %d comparators, Step(t) %d",
-					name, r, c, step, len(got), len(want))
-			}
-			sortComps(want)
-			sortComps(got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s %dx%d step %d comparator %d: span %v != schedule %v",
-						name, r, c, step, i, got[i], want[i])
-				}
-			}
-		}
-
 		// The compiled view must agree with Step(t) exactly.
 		phases := PhasesOf(s)
 		if len(phases) != s.Period() {

@@ -1,62 +1,55 @@
-package sched
+package sched_test
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
-	"repro/internal/grid"
+	"repro/internal/engine"
+	"repro/internal/sched"
 )
 
 // sortComps orders a comparator slice canonically so span expansions can
 // be compared as sets (a step's comparators are disjoint, so order is
 // semantically irrelevant).
-func sortComps(cs []Comparator) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Lo != cs[j].Lo {
-			return cs[i].Lo < cs[j].Lo
-		}
-		return cs[i].Hi < cs[j].Hi
+func sortComps(cs []sched.Comparator) {
+	slices.SortFunc(cs, func(a, b sched.Comparator) int {
+		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
 	})
 }
 
-// TestCompileSpansLossless proves the span compilation exact for every
-// schedule on a spread of shapes: each phase's span expansion is the same
-// comparator set Step(t) yields, and the recorded pair count matches.
+// TestCompileSpansLossless proves the span compilation — the span plan
+// the engine's span kernel runs — exact for every schedule on the
+// kerneltest shape matrix plus further thin and rectangular shapes: each
+// step's spans expand to the same comparator set Step(t) yields.
 func TestCompileSpansLossless(t *testing.T) {
-	shapes := []struct{ rows, cols int }{
-		{1, 2}, {2, 2}, {4, 4}, {8, 8}, {5, 6}, {3, 8}, {1, 8}, {9, 6}, {16, 4},
+	shapes := [][2]int{
+		{1, 2}, {2, 2}, {4, 4}, {6, 6}, {8, 8}, {5, 6}, {3, 8}, {1, 8}, {9, 6}, {9, 8}, {16, 4}, {5, 14},
 	}
-	oddColShapes := []struct{ rows, cols int }{
-		{6, 5}, {8, 1}, {1, 7}, {1, 1}, {7, 3},
-	}
+	oddColShapes := [][2]int{{6, 5}, {8, 1}, {1, 7}, {1, 1}, {7, 3}, {9, 9}, {13, 5}}
 	check := func(t *testing.T, name string, rows, cols int) {
-		s, err := ByName(name, rows, cols)
+		s, err := sched.ByName(name, rows, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, ok := CompileSpans(s)
+		steps, ok := engine.SpanSteps(s)
 		if !ok {
-			t.Fatalf("%s %dx%d: did not classify into spans", name, rows, cols)
+			t.Fatalf("%s %dx%d: no span plan", name, rows, cols)
 		}
-		if r, c := prog.Dims(); r != rows || c != cols {
-			t.Fatalf("Dims() = %dx%d, want %dx%d", r, c, rows, cols)
-		}
-		if prog.Period() != s.Period() {
-			t.Fatalf("Period() = %d, want %d", prog.Period(), s.Period())
+		if len(steps) != s.Period() {
+			t.Fatalf("%s %dx%d: %d span steps, period %d", name, rows, cols, len(steps), s.Period())
 		}
 		for step := 1; step <= s.Period(); step++ {
-			want := append([]Comparator(nil), s.Step(step)...)
-			got := prog.Comparators(step)
-			if len(got) != len(want) || prog.Spans(step).Pairs != len(want) {
-				t.Fatalf("%s %dx%d step %d: %d expanded comparators (Pairs=%d), want %d",
-					name, rows, cols, step, len(got), prog.Spans(step).Pairs, len(want))
+			want := append([]sched.Comparator(nil), s.Step(step)...)
+			got := steps[step-1]
+			if len(got) != len(want) {
+				t.Fatalf("%s %dx%d step %d: %d expanded comparators, want %d",
+					name, rows, cols, step, len(got), len(want))
 			}
 			sortComps(want)
 			sortComps(got)
 			for i := range want {
-				// A one-column "vertical" pair classifies as a forward
-				// adjacent pair; both orient min to the lower flat index.
 				if got[i] != want[i] {
 					t.Fatalf("%s %dx%d step %d comparator %d: span %v != schedule %v",
 						name, rows, cols, step, i, got[i], want[i])
@@ -64,144 +57,23 @@ func TestCompileSpansLossless(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range Names() {
-		name := name
+	for _, name := range append(sched.Names(), "rm-rf-nowrap") {
 		t.Run(name, func(t *testing.T) {
 			for _, sh := range shapes {
-				if (name == "rm-rf" || name == "rm-cf" || name == "rm-rf-nowrap") && sh.cols%2 != 0 {
-					continue
+				t.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(t *testing.T) {
+					check(t, name, sh[0], sh[1])
+				})
+			}
+			if name == "rm-rf" || name == "rm-cf" || name == "rm-rf-nowrap" {
+				return // the row-major schedules require even columns
+			}
+			t.Run("odd-cols", func(t *testing.T) {
+				for _, sh := range oddColShapes {
+					t.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(t *testing.T) {
+						check(t, name, sh[0], sh[1])
+					})
 				}
-				t.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(t *testing.T) {
-					check(t, name, sh.rows, sh.cols)
-				})
-			}
+			})
 		})
-	}
-	for _, name := range []string{"snake-a", "snake-b", "snake-c", "shearsort"} {
-		name := name
-		t.Run(name+"/odd-cols", func(t *testing.T) {
-			for _, sh := range oddColShapes {
-				t.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(t *testing.T) {
-					check(t, name, sh.rows, sh.cols)
-				})
-			}
-		})
-	}
-}
-
-// TestSpanShapesRowMajor pins the structural payoff of the compilation on
-// RM-RF at 8×8: both row phases collapse to a single whole-array HSpan
-// (the wrap-around wires are flat-adjacent, so they fuse with the even
-// row pairs), and each column phase becomes one stride-1 two-row sweep
-// per participating row pair.
-func TestSpanShapesRowMajor(t *testing.T) {
-	s := NewRowMajorRowFirst(8, 8)
-	prog, ok := CompileSpans(s)
-	if !ok {
-		t.Fatal("rm-rf did not classify")
-	}
-	// Step 1: rows-odd = pairs (i, i+1) for every even flat i — one span.
-	ph := prog.Spans(1)
-	if len(ph.V) != 0 || len(ph.H) != 1 {
-		t.Fatalf("step 1: got %d H and %d V spans, want 1 and 0", len(ph.H), len(ph.V))
-	}
-	if h := ph.H[0]; h.Start != 0 || h.Pairs != 32 || h.Rev {
-		t.Fatalf("step 1 span = %+v, want {Start:0 Pairs:32 Rev:false}", h)
-	}
-	// Step 3: rows-even + wrap-around = pairs (i, i+1) for every odd flat
-	// i — again one span, covering the whole array minus the end cells.
-	ph = prog.Spans(3)
-	if len(ph.V) != 0 || len(ph.H) != 1 {
-		t.Fatalf("step 3: got %d H and %d V spans, want 1 and 0", len(ph.H), len(ph.V))
-	}
-	if h := ph.H[0]; h.Start != 1 || h.Pairs != 31 || h.Rev {
-		t.Fatalf("step 3 span = %+v, want {Start:1 Pairs:31 Rev:false}", h)
-	}
-	// Step 2: cols-odd = row pairs (0,1),(2,3),(4,5),(6,7), each a full
-	// stride-1 sweep of 8 columns.
-	ph = prog.Spans(2)
-	if len(ph.H) != 0 || len(ph.V) != 4 {
-		t.Fatalf("step 2: got %d H and %d V spans, want 0 and 4", len(ph.H), len(ph.V))
-	}
-	for i, v := range ph.V {
-		want := VSpan{Top: int32(16 * i), Stride: 1, Pairs: 8}
-		if v != want {
-			t.Fatalf("step 2 span %d = %+v, want %+v", i, v, want)
-		}
-	}
-	// Step 4: cols-even = row pairs (1,2),(3,4),(5,6).
-	ph = prog.Spans(4)
-	if len(ph.H) != 0 || len(ph.V) != 3 {
-		t.Fatalf("step 4: got %d H and %d V spans, want 0 and 3", len(ph.H), len(ph.V))
-	}
-}
-
-// TestSpanShapesSnakeB pins the alternating-parity column steps of SN-B:
-// they compile to stride-2 vertical sweeps (odd columns pair rows (0,1),
-// even columns rows (1,2), so each two-row band holds every other
-// column).
-func TestSpanShapesSnakeB(t *testing.T) {
-	prog, ok := CompileSpans(NewSnakeB(6, 6))
-	if !ok {
-		t.Fatal("snake-b did not classify")
-	}
-	ph := prog.Spans(2)
-	if len(ph.H) != 0 {
-		t.Fatalf("step 2 has %d H spans, want 0", len(ph.H))
-	}
-	for _, v := range ph.V {
-		if v.Pairs > 1 && v.Stride != 2 {
-			t.Fatalf("step 2 span %+v: alternating column step should have stride 2", v)
-		}
-	}
-	// Snake row steps keep per-row spans with alternating direction.
-	ph = prog.Spans(1)
-	if len(ph.V) != 0 {
-		t.Fatalf("step 1 has %d V spans, want 0", len(ph.V))
-	}
-	fwd, rev := 0, 0
-	for _, h := range ph.H {
-		if h.Rev {
-			rev++
-		} else {
-			fwd++
-		}
-	}
-	if fwd != 3 || rev != 3 {
-		t.Fatalf("step 1: %d forward and %d reverse spans, want 3 and 3", fwd, rev)
-	}
-}
-
-// diagSched is a foreign schedule with a non-adjacent comparator, which
-// must be rejected by the span compiler.
-type diagSched struct{}
-
-func (diagSched) Name() string            { return "diag" }
-func (diagSched) Order() grid.Order       { return grid.RowMajor }
-func (diagSched) Dims() (int, int)        { return 2, 2 }
-func (diagSched) Period() int             { return 1 }
-func (diagSched) Step(t int) []Comparator { return []Comparator{{Lo: 0, Hi: 3}} }
-
-func TestCompileSpansRejectsNonAdjacent(t *testing.T) {
-	if _, ok := CompileSpans(diagSched{}); ok {
-		t.Fatal("diagonal comparator classified into spans")
-	}
-	// The cache must remember the rejection without recompiling, and hand
-	// out one shared program per compiled schedule otherwise.
-	c := Compile(diagSched{})
-	if _, ok := CachedSpans(c); ok {
-		t.Fatal("CachedSpans accepted a diagonal schedule")
-	}
-	if _, ok := CachedSpans(c); ok {
-		t.Fatal("CachedSpans accepted a diagonal schedule on the cached path")
-	}
-	good, err := Cached("snake-a", 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, ok1 := CachedSpans(good)
-	p2, ok2 := CachedSpans(good)
-	if !ok1 || !ok2 || p1 == nil || p1 != p2 {
-		t.Fatalf("CachedSpans not shared: %p vs %p (ok %v %v)", p1, p2, ok1, ok2)
 	}
 }

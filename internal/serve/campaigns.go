@@ -122,9 +122,9 @@ func (s *Server) submitCampaign(spec campaign.Spec) (*Campaign, bool, *apiError)
 			return nil, false, &apiError{http.StatusBadRequest,
 				fmt.Sprintf("cell %d (%s): trials %d over limit %d", i, c, c.Trials, s.cfg.Limits.MaxTrials)}
 		}
-		if c.Side*c.Side > s.cfg.Limits.MaxCells {
+		if exceedsCells(c.Side, c.Side, s.cfg.Limits.MaxCells) {
 			return nil, false, &apiError{http.StatusBadRequest,
-				fmt.Sprintf("cell %d (%s): %d mesh cells over limit %d", i, c, c.Side*c.Side, s.cfg.Limits.MaxCells)}
+				fmt.Sprintf("cell %d (%s): %dx%d mesh over limit %d cells", i, c, c.Side, c.Side, s.cfg.Limits.MaxCells)}
 		}
 	}
 	id, err := spec.ID()

@@ -81,7 +81,7 @@ func (s *Server) handleFabricShard(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "shard trials out of range")
 		return
 	}
-	if spec.Rows*spec.Cols > s.cfg.Limits.MaxCells {
+	if exceedsCells(spec.Rows, spec.Cols, s.cfg.Limits.MaxCells) {
 		writeErr(w, http.StatusBadRequest, "shard mesh exceeds the cell limit")
 		return
 	}

@@ -586,3 +586,55 @@ func TestShardedJobExecutionReporting(t *testing.T) {
 		t.Fatalf("negative shards: %d %s, want 400", resp.StatusCode, buf)
 	}
 }
+
+// TestMeshLimitsDoNotOverflow sends sides whose product wraps around a
+// 64-bit int (2^32 · 2^32 = 0) to every entry point that bounds the
+// mesh size: each must refuse them with 400 instead of admitting a
+// 2^64-cell mesh.
+func TestMeshLimitsDoNotOverflow(t *testing.T) {
+	const huge = 1 << 32
+	if _, err := (JobRequest{Algorithm: "snake-a", Rows: huge, Cols: huge, Trials: 1}).ToSpec(Limits{}); err == nil {
+		t.Fatal("ToSpec accepted a 2^32 x 2^32 mesh")
+	}
+	st := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	s, ts := storedServer(st, Config{})
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"algorithm":"snake-a","rows":4294967296,"cols":4294967296,"trials":1}`},
+		{"/v1/campaigns", `{"algorithms":["snake-a"],"sides":[4294967296],"trials":[1]}`},
+		{"/v1/fabric/shard", `{"algorithm":"snake-a","rows":4294967296,"cols":4294967296,"trials":1}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			if resp, buf := postJSON(t, ts.URL+tc.path, tc.body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("got %d %s, want 400", resp.StatusCode, buf)
+			}
+		})
+	}
+}
+
+// TestOddColumnRowMajorRejected: the row-major algorithms need an even
+// column count; every entry point answers 400 rather than letting the
+// schedule constructor panic on a worker or runner goroutine.
+func TestOddColumnRowMajorRejected(t *testing.T) {
+	if _, err := (JobRequest{Algorithm: "rm-rf", Side: 15, Trials: 1}).ToSpec(Limits{}); err == nil {
+		t.Fatal("ToSpec accepted rm-rf 15x15")
+	}
+	st := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	s, ts := storedServer(st, Config{})
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"algorithm":"rm-rf","side":15,"trials":1}`},
+		{"/v1/sort", `{"algorithm":"rm-cf","rows":8,"cols":7,"trials":1}`},
+		{"/v1/campaigns", `{"algorithms":["snake-a","rm-rf"],"sides":[15],"trials":[1]}`},
+		{"/v1/fabric/shard", `{"algorithm":"rm-rf","rows":15,"cols":15,"trials":1}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			resp, buf := postJSON(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(buf), "even number of columns") {
+				t.Errorf("got %d %s, want 400 naming the column rule", resp.StatusCode, buf)
+			}
+		})
+	}
+}

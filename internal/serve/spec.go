@@ -50,6 +50,11 @@ const (
 	defaultMaxCells  = 1 << 21 // e.g. 1448×1448, ~2M cells
 )
 
+// exceedsCells reports whether a rows×cols mesh (both at least 1) has
+// more than max cells. It never forms the product, which wraps around
+// for sides near 2^32.
+func exceedsCells(rows, cols, max int) bool { return rows > max/cols }
+
 func (l Limits) withDefaults() Limits {
 	if l.MaxTrials <= 0 {
 		l.MaxTrials = defaultMaxTrials
@@ -88,8 +93,11 @@ func (r JobRequest) ToSpec(lim Limits) (mcbatch.Spec, error) {
 	if rows < 1 || cols < 1 {
 		return mcbatch.Spec{}, fmt.Errorf("invalid mesh %dx%d: rows and cols (or side) must be >= 1", rows, cols)
 	}
-	if rows*cols > lim.MaxCells {
+	if exceedsCells(rows, cols, lim.MaxCells) {
 		return mcbatch.Spec{}, fmt.Errorf("mesh %dx%d exceeds the %d-cell limit", rows, cols, lim.MaxCells)
+	}
+	if err := alg.CheckMesh(rows, cols); err != nil {
+		return mcbatch.Spec{}, err
 	}
 	if r.Trials < 1 {
 		return mcbatch.Spec{}, fmt.Errorf("trials must be >= 1 (got %d)", r.Trials)
