@@ -62,6 +62,9 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
+	if err := alg.CheckMesh(cfg.side, cfg.side); err != nil {
+		return err
+	}
 	g, err := buildInput(cfg.input, cfg.side, cfg.seed, alg.Order())
 	if err != nil {
 		return err

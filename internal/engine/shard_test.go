@@ -7,6 +7,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 	"repro/internal/workload"
 )
 
@@ -25,8 +26,8 @@ func TestShardSpanPlanPartition(t *testing.T) {
 			// first odd-column shadow cells, and their hi cells (3,1) and
 			// (3,3) are consecutive too: a span joining them across the
 			// halves would lose its second pair to the row split.
-			scheds = append(scheds, &phaseSched{rows: 4, cols: 4, order: grid.Snake,
-				phases: [][]sched.Comparator{{{Lo: 14, Hi: 13}, {Lo: 1, Hi: 15}}}})
+			scheds = append(scheds, schedtest.NewPhases(4, 4, grid.Snake,
+				[][]sched.Comparator{{{Lo: 14, Hi: 13}, {Lo: 1, Hi: 15}}}))
 		}
 		for _, s := range scheds {
 			plan := buildSpanPlan(s, g)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"unsafe"
@@ -10,17 +9,9 @@ import (
 	"repro/internal/grid"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 	"repro/internal/workload"
 )
-
-func sortComps(cs []sched.Comparator) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Lo != cs[j].Lo {
-			return cs[i].Lo < cs[j].Lo
-		}
-		return cs[i].Hi < cs[j].Hi
-	})
-}
 
 // checkLossless requires every phase of plan to expand back to exactly
 // the comparator set of Step(t) (as a set: a step's comparators are
@@ -38,8 +29,8 @@ func checkLossless(t *testing.T, s sched.Schedule, plan *spanPlan) {
 			t.Fatalf("%s %dx%d step %d: %d expanded comparators (pairs=%d), want %d",
 				s.Name(), rows, cols, step, len(got), plan.phases[step-1].pairs, len(want))
 		}
-		sortComps(want)
-		sortComps(got)
+		schedtest.SortComparators(want)
+		schedtest.SortComparators(got)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s %dx%d step %d comparator %d: span %v != schedule %v",
@@ -117,26 +108,13 @@ func TestSpanPlanShapesSnakeB(t *testing.T) {
 	}
 }
 
-// phaseSched is an ad-hoc schedule over explicit phases.
-type phaseSched struct {
-	rows, cols int
-	order      grid.Order
-	phases     [][]sched.Comparator
-}
-
-func (p *phaseSched) Name() string                  { return "phases" }
-func (p *phaseSched) Order() grid.Order             { return p.order }
-func (p *phaseSched) Dims() (int, int)              { return p.rows, p.cols }
-func (p *phaseSched) Period() int                   { return len(p.phases) }
-func (p *phaseSched) Step(t int) []sched.Comparator { return p.phases[(t-1)%len(p.phases)] }
-
 // TestSpanPlanEligibility pins which schedules get a plan: any disjoint
 // monotone comparator set does, adjacent or not; a step whose
 // comparators share a cell, or one that sends the minimum up the target
 // order, does not. Shared compiled schedules get one cached plan.
 func TestSpanPlanEligibility(t *testing.T) {
 	g := grid.New(2, 2)
-	diag := &phaseSched{rows: 2, cols: 2, phases: [][]sched.Comparator{{{Lo: 0, Hi: 3}}}}
+	diag := schedtest.NewPhases(2, 2, grid.RowMajor, [][]sched.Comparator{{{Lo: 0, Hi: 3}}})
 	plan := buildSpanPlan(diag, g)
 	if plan == nil {
 		t.Fatal("a disjoint monotone diagonal schedule got no plan")
@@ -149,7 +127,7 @@ func TestSpanPlanEligibility(t *testing.T) {
 		{{Lo: 2, Hi: 0}},                 // the same, max to shadow cell 0
 		{{Lo: 1, Hi: 1}},                 // self-comparison
 	} {
-		if buildSpanPlan(&phaseSched{rows: 2, cols: 2, phases: [][]sched.Comparator{bad}}, g) != nil {
+		if buildSpanPlan(schedtest.NewPhases(2, 2, grid.RowMajor, [][]sched.Comparator{bad}), g) != nil {
 			t.Fatalf("phase %v got a span plan", bad)
 		}
 	}
@@ -220,63 +198,6 @@ func TestSweep(t *testing.T) {
 	}
 }
 
-// randomPhases builds random disjoint adjacent-pair phases on an R×C
-// mesh from the fuzzer's bytes (in the style of the random adjacent
-// transposition schedules of Olesker-Taylor): each cell, in flat order,
-// is left alone or paired with a free right or lower neighbour. Pairs
-// send the minimum to the lower target rank unless flip is set and the
-// byte says otherwise; the result reports whether any pair was flipped.
-func randomPhases(rows, cols int, order grid.Order, data []byte, flip bool) ([][]sched.Comparator, bool) {
-	next := 0
-	byteAt := func() byte {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[next%len(data)]
-		next++
-		return b ^ byte(next/len(data))
-	}
-	g := grid.New(rows, cols)
-	n := rows * cols
-	rank := make([]int, n)
-	for m := 0; m < n; m++ {
-		rank[g.RankFlat(order, m)] = m
-	}
-	flipped := false
-	phases := make([][]sched.Comparator, 1+int(byteAt())%4)
-	for pi := range phases {
-		used := make([]bool, n)
-		for f := 0; f < n; f++ {
-			b := byteAt()
-			partner := -1
-			switch b % 3 {
-			case 1:
-				if f%cols+1 < cols {
-					partner = f + 1
-				}
-			case 2:
-				if f+cols < n {
-					partner = f + cols
-				}
-			}
-			if used[f] || partner < 0 || used[partner] {
-				continue
-			}
-			used[f], used[partner] = true, true
-			lo, hi := f, partner
-			if rank[lo] > rank[hi] {
-				lo, hi = hi, lo
-			}
-			if flip && b&0x80 != 0 {
-				lo, hi = hi, lo
-				flipped = true
-			}
-			phases[pi] = append(phases[pi], sched.Comparator{Lo: int32(lo), Hi: int32(hi)})
-		}
-	}
-	return phases, flipped
-}
-
 // FuzzSpanPlan feeds buildSpanPlan random disjoint adjacent-pair
 // phases. A monotone schedule must get a lossless plan whose serial and
 // sharded runs match the generic executor exactly on a permutation —
@@ -294,8 +215,8 @@ func FuzzSpanPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows, cols, mode uint8, data []byte) {
 		r, c := 1+int(rows)%12, 1+int(cols)%12
 		order := grid.Order(mode & 1)
-		phases, flipped := randomPhases(r, c, order, data, mode&2 != 0)
-		s := &phaseSched{rows: r, cols: c, order: order, phases: phases}
+		phases, flipped := schedtest.RandomPhases(r, c, order, data, mode&2 != 0)
+		s := schedtest.NewPhases(r, c, order, phases)
 		plan := buildSpanPlan(s, grid.New(r, c))
 		if flipped {
 			if plan != nil {

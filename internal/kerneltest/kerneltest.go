@@ -254,13 +254,7 @@ func Compare(t *testing.T, algName string, rows, cols, maxSteps int, cases []Cas
 		t.Fatal(err)
 	}
 
-	base := make([]outcome, len(cases))
-	for i, c := range cases {
-		g := c.Input.Clone()
-		res, err := RefRun(g, s, maxSteps)
-		base[i] = outcome{res: res, err: err, g: g}
-	}
-
+	base := references(s, maxSteps, cases)
 	prefix := fmt.Sprintf("%s %dx%d cap=%d", algName, rows, cols, maxSteps)
 	for _, ex := range Executors() {
 		for i, c := range cases {
@@ -273,14 +267,29 @@ func Compare(t *testing.T, algName string, rows, cols, maxSteps int, cases []Cas
 		}
 	}
 
-	compareLockstep(t, prefix, algName, rows, cols, maxSteps, cases, base)
+	ss, err := zeroone.CachedSliced(algName, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareLockstep(t, prefix, ss, maxSteps, cases, base)
+}
+
+// references runs RefRun on a clone of every case.
+func references(s sched.Schedule, maxSteps int, cases []Case) []outcome {
+	base := make([]outcome, len(cases))
+	for i, c := range cases {
+		g := c.Input.Clone()
+		res, err := RefRun(g, s, maxSteps)
+		base[i] = outcome{res: res, err: err, g: g}
+	}
+	return base
 }
 
 // compareLockstep packs every 0-1 case into shared trial slices (64 lanes
 // per batch, ragged tail included) and checks each lane against the
 // reference — the batched kernel's differential, covering lane
 // interactions no single-grid run exercises.
-func compareLockstep(t *testing.T, prefix, algName string, rows, cols, maxSteps int, cases []Case, base []outcome) {
+func compareLockstep(t *testing.T, prefix string, ss *zeroone.SlicedSchedule, maxSteps int, cases []Case, base []outcome) {
 	t.Helper()
 	var lanes []int // indices of the 0-1 cases, in case order
 	for i, c := range cases {
@@ -291,10 +300,7 @@ func compareLockstep(t *testing.T, prefix, algName string, rows, cols, maxSteps 
 	if len(lanes) == 0 {
 		return
 	}
-	ss, err := zeroone.CachedSliced(algName, rows, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, cols := ss.Dims()
 	ts := zeroone.NewTrialSlice(rows, cols)
 	out := grid.New(rows, cols)
 	for lo := 0; lo < len(lanes); lo += 64 {

@@ -1,23 +1,13 @@
 package sched_test
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
-
-// sortComps orders a comparator slice canonically so span expansions can
-// be compared as sets (a step's comparators are disjoint, so order is
-// semantically irrelevant).
-func sortComps(cs []sched.Comparator) {
-	slices.SortFunc(cs, func(a, b sched.Comparator) int {
-		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
-	})
-}
 
 // TestCompileSpansLossless proves the span compilation — the span plan
 // the engine's span kernel runs — exact for every schedule on the
@@ -47,8 +37,8 @@ func TestCompileSpansLossless(t *testing.T) {
 				t.Fatalf("%s %dx%d step %d: %d expanded comparators, want %d",
 					name, rows, cols, step, len(got), len(want))
 			}
-			sortComps(want)
-			sortComps(got)
+			schedtest.SortComparators(want)
+			schedtest.SortComparators(got)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s %dx%d step %d comparator %d: span %v != schedule %v",

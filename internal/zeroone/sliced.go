@@ -24,11 +24,16 @@ import (
 // and the swap mask s = lo &^ hi marks exactly the trials whose pair was
 // out of order — the classic bitslicing trick of sorting-network and
 // cipher implementations. Each comparator costs a handful of word
-// operations *total*, not per trial, and needs no shifting or masking at
-// all: the comparator's two cells are just two word indices. SortSliced is
-// verified bit-identical to the scalar engine and to SortPacked — per-trial
-// Steps, Swaps, Comparisons, errors, and final grids — by the differential
-// tests, including ragged batches (fewer than 64 occupied lanes).
+// operations *total*, not per trial. The executor is one strided sweep
+// with no per-pair branch: it always stores both results, sums the swap
+// masks of up to chunkPairs pairs per lane in four register bit-planes,
+// and touches memory beyond the two words only once per chunk in which
+// some lane swapped. Runs stop at every 64-cell change-tracking block, so
+// a run whose blocks are unchanged since it last executed is skipped.
+// SortSliced is verified bit-identical, lane by lane, to an independent
+// reference executor — Steps, Swaps, Comparisons, errors, and final
+// grids — by the differential suites of internal/kerneltest, including
+// ragged batches (fewer than 64 occupied lanes) and random schedules.
 
 // TrialSlice is a batch of up to 64 same-shaped 0-1 grids in trial-sliced
 // layout: one word per cell, one bit lane per trial.
@@ -126,11 +131,11 @@ func (ts *TrialSlice) Extract(lane int) *grid.Grid {
 }
 
 // slicedRun is a compressed group of comparators within one step: the
-// comparators (lo, lo+delta) for lo = base, base+stride, ..., count of
-// them. Lo and Hi are comparator *roles* (min lands at Lo), so delta is
+// comparators (f, f+delta) for f = base, base+stride, ..., count of them.
+// Lo and Hi are comparator *roles* (min lands at Lo), so delta is
 // negative for reversed pairs such as the snake family's right-to-left
-// rows. Runs let the executor stream through memory with no per-comparator
-// index loads: a full even row phase of rm-rf is a single run.
+// rows. A run's lower cells all lie in one change-tracking block, so the
+// executor can skip each block's share of a phase on its own.
 type slicedRun struct {
 	base   int32
 	delta  int32
@@ -139,20 +144,7 @@ type slicedRun struct {
 	// blo..bhi is the inclusive range of change-tracking blocks the run's
 	// cells fall in, precomputed for the executor's skip check.
 	blo, bhi int32
-	// kind selects a specialized executor loop whose slice windows let the
-	// compiler drop bounds checks; runGeneric handles any shape.
-	kind int8
 }
-
-// Run kinds: the shapes the five schedules (and shearsort) actually
-// produce after pairLow ordering, plus a generic fallback for wraparound
-// singles and anything a future schedule invents.
-const (
-	runGeneric int8 = iota
-	runRowFwd       // delta +1, stride 2: left-to-right odd-even row pairs
-	runRowRev       // delta −1, stride 2: right-to-left (snake) row pairs
-	runVert         // stride 1, delta ≥ count: a column phase's row band
-)
 
 // blockShift sets the granularity of the executor's change tracking:
 // blocks of 64 cells, the compromise between skip-check cost (a run spans
@@ -160,13 +152,17 @@ const (
 // a narrow band around each lane's 0/1 boundary).
 const blockShift = 6
 
+// chunkPairs is how many pairs the sweep counts in its four register
+// bit-planes before it must flush them: 15 is the largest per-lane swap
+// count four bits hold.
+const chunkPairs = 15
+
 // slicedStep is one schedule step for the lockstep executor: the step's
-// comparators as plain flat-index pairs, ordered by their lower cell so
-// the word accesses stream through memory (column steps would otherwise
-// jump by `cols` words between construction-order comparators), plus the
-// same comparators compressed into arithmetic runs for the hot loop.
+// comparators ordered by their lower cell, so the word accesses stream
+// through memory (column steps would otherwise jump by `cols` words
+// between construction-order comparators), and compressed into arithmetic
+// runs.
 type slicedStep struct {
-	pairs       []sched.Comparator
 	runs        []slicedRun
 	comparisons int64 // comparators in the step (matches the scalar count)
 }
@@ -240,9 +236,7 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 		sort.Slice(pairs, func(i, j int) bool {
 			return pairLow(pairs[i]) < pairLow(pairs[j])
 		})
-		ss.steps[si] = slicedStep{
-			pairs: pairs, runs: compressRuns(pairs), comparisons: int64(len(comps)),
-		}
+		ss.steps[si] = slicedStep{runs: compressRuns(pairs), comparisons: int64(len(comps))}
 		ss.compPrefix[si+1] = ss.compPrefix[si] + int64(len(comps))
 		ss.runStart[si] = int32(ss.totalRuns)
 		ss.totalRuns += len(ss.steps[si].runs)
@@ -257,17 +251,19 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 }
 
 // compressRuns greedily packs pairLow-ordered comparators into arithmetic
-// runs: successive pairs join a run while their delta (Hi−Lo) matches and
-// their Lo advances by the run's stride (fixed by the first two members).
-// Irregular comparators — e.g. a lone wraparound pair — fall out as runs
-// of count 1, so any schedule compresses without a special case.
+// runs: successive pairs join a run while their delta (Hi−Lo) matches,
+// their Lo advances by the run's stride (fixed by the first two members),
+// and their lower cell stays in the first member's block. Irregular
+// comparators — e.g. a lone wraparound pair — fall out as runs of count 1,
+// so any schedule compresses without a special case.
 func compressRuns(pairs []sched.Comparator) []slicedRun {
 	var runs []slicedRun
 	for i := 0; i < len(pairs); {
 		r := slicedRun{base: pairs[i].Lo, delta: pairs[i].Hi - pairs[i].Lo, count: 1}
+		block := pairLow(pairs[i]) >> blockShift
 		j := i + 1
 		for ; j < len(pairs); j++ {
-			if pairs[j].Hi-pairs[j].Lo != r.delta {
+			if pairs[j].Hi-pairs[j].Lo != r.delta || pairLow(pairs[j])>>blockShift != block {
 				break
 			}
 			stride := pairs[j].Lo - pairs[j-1].Lo
@@ -283,17 +279,6 @@ func compressRuns(pairs []sched.Comparator) []slicedRun {
 		last := r.base + (r.count-1)*r.stride
 		r.blo = (r.base + min(r.delta, 0)) >> blockShift
 		r.bhi = (last + max(r.delta, 0)) >> blockShift
-		switch {
-		case r.delta == 1 && (r.stride == 2 || r.count == 1):
-			r.kind = runRowFwd
-			r.stride = 2
-		case r.delta == -1 && (r.stride == 2 || r.count == 1):
-			r.kind = runRowRev
-			r.stride = 2
-		case r.delta >= r.count && (r.stride == 1 || r.count == 1):
-			r.kind = runVert
-			r.stride = 1
-		}
 		runs = append(runs, r)
 		i = j
 	}
@@ -384,22 +369,17 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 	// sorted status can only change on a step where it swaps, so a lane
 	// that ends sorted became sorted exactly at its last swap step — the
 	// loop records lastSwap per lane and never rescans the grid. Swap
-	// counts live in bit-sliced form: the two low bit-planes (ones, twos)
-	// stay in registers, higher planes spill to the array by ripple carry
-	// on every fourth swap of a lane.
+	// counts live in bit-sliced form: bit k of planes[i] is bit i of lane
+	// k's count.
 	var (
 		lastSwap [64]int32
-		ones     uint64
-		twos     uint64
-		planes   [62]uint64
+		planes   [64]uint64
 	)
 
 	// Change tracking for run skipping: blockMax[b] is the latest step that
-	// swapped a cell of block b, lastExec the step each run last executed.
-	// A run none of whose blocks changed since its own last execution would
-	// find every pair already exchanged (compare-exchange is idempotent),
-	// so it is skipped outright — late in a 0-1 sort that is almost every
-	// run, since activity shrinks to a band around the lanes' boundaries.
+	// may have swapped a cell of block b (marks are per chunk, so they can
+	// cover more than the swapped cells but never miss one), lastExec the
+	// step each run last executed.
 	n := ss.rows * ss.cols
 	blockMax := make([]int32, (n-1)>>blockShift+1)
 	lastExec := make([]int32, ss.totalRuns)
@@ -416,129 +396,7 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 		if pi++; pi == period {
 			pi = 0
 		}
-		var dirty uint64
-		tt := int32(t)
-		for ri := range st.runs {
-			r := &st.runs[ri]
-			changed := false
-			for b := r.blo; b <= r.bhi; b++ {
-				if blockMax[b] >= runExec[ri] {
-					changed = true
-					break
-				}
-			}
-			if !changed {
-				continue
-			}
-			runExec[ri] = tt
-			base := int(r.base)
-			switch r.kind {
-			case runRowFwd:
-				v := w[base : base+2*int(r.count)]
-				for j := 0; j+1 < len(v); j += 2 {
-					lo, hi := v[j], v[j+1]
-					s := lo &^ hi
-					if s == 0 {
-						continue
-					}
-					dirty |= s
-					v[j] = lo & hi
-					v[j+1] = lo | hi
-					blockMax[(base+j)>>blockShift] = tt
-					blockMax[(base+j+1)>>blockShift] = tt
-					c := ones & s
-					ones ^= s
-					if c != 0 {
-						c2 := twos & c
-						twos ^= c
-						for i := 0; c2 != 0; i++ {
-							p := planes[i]
-							planes[i] = p ^ c2
-							c2 &= p
-						}
-					}
-				}
-			case runRowRev:
-				// Pair k compares cells (base+2k, base+2k−1): the min role
-				// sits one past the max role, so the window starts at base−1.
-				v := w[base-1 : base-1+2*int(r.count)]
-				for j := 0; j+1 < len(v); j += 2 {
-					lo, hi := v[j+1], v[j]
-					s := lo &^ hi
-					if s == 0 {
-						continue
-					}
-					dirty |= s
-					v[j+1] = lo & hi
-					v[j] = lo | hi
-					blockMax[(base-1+j)>>blockShift] = tt
-					blockMax[(base+j)>>blockShift] = tt
-					c := ones & s
-					ones ^= s
-					if c != 0 {
-						c2 := twos & c
-						twos ^= c
-						for i := 0; c2 != 0; i++ {
-							p := planes[i]
-							planes[i] = p ^ c2
-							c2 &= p
-						}
-					}
-				}
-			case runVert:
-				a := w[base : base+int(r.count)]
-				b := w[base+int(r.delta):][:len(a)]
-				for j := range a {
-					lo, hi := a[j], b[j]
-					s := lo &^ hi
-					if s == 0 {
-						continue
-					}
-					dirty |= s
-					a[j] = lo & hi
-					b[j] = lo | hi
-					blockMax[(base+j)>>blockShift] = tt
-					blockMax[(base+j+int(r.delta))>>blockShift] = tt
-					c := ones & s
-					ones ^= s
-					if c != 0 {
-						c2 := twos & c
-						twos ^= c
-						for i := 0; c2 != 0; i++ {
-							p := planes[i]
-							planes[i] = p ^ c2
-							c2 &= p
-						}
-					}
-				}
-			default:
-				f := base
-				delta, stride := int(r.delta), int(r.stride)
-				for j := int32(0); j < r.count; j++ {
-					lo, hi := w[f], w[f+delta]
-					s := lo &^ hi
-					if s != 0 {
-						dirty |= s
-						w[f] = lo & hi
-						w[f+delta] = lo | hi
-						blockMax[f>>blockShift] = tt
-						blockMax[(f+delta)>>blockShift] = tt
-						c := ones & s
-						ones ^= s
-						if c != 0 {
-							c2 := twos & c
-							twos ^= c
-							for i := 0; c2 != 0; i++ {
-								p := planes[i]
-								planes[i] = p ^ c2
-								c2 &= p
-							}
-						}
-					}
-					f += stride
-				}
-			}
-		}
+		dirty := sweep(w, blockMax, runExec, st.runs, int32(t), &planes)
 		// Quiescence for a full period means every lane sits at a fixed
 		// point of the whole schedule — its final state, sorted or not.
 		if dirty == 0 {
@@ -556,9 +414,9 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 	still := unsortedAmong(w, ss.ranks, laneMask)
 	limitComps := ss.comparisonsAfter(maxSteps)
 	for k := 0; k < lanes; k++ {
-		sw := int64(twos>>uint(k)&1)<<1 | int64(ones>>uint(k)&1)
-		for i := 60; i >= 0; i-- { // bit 62 at most: counts stay far below 2^62
-			sw |= int64(planes[i]>>uint(k)&1) << uint(i+2)
+		var sw int64
+		for i := 62; i >= 0; i-- { // counts stay far below 2^63
+			sw = sw<<1 | int64(planes[i]>>uint(k)&1)
 		}
 		results[k].Swaps = sw
 		if still>>uint(k)&1 == 1 {
@@ -583,6 +441,109 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 		}
 	}
 	return results, errs, nil
+}
+
+// changedSince reports whether one of r's blocks was marked at or after
+// step last. A run none of whose blocks changed since its own last
+// execution would find every pair already exchanged (compare-exchange is
+// idempotent), so the executors skip it outright — late in a 0-1 sort
+// that is almost every run, since activity shrinks to a band around the
+// lanes' boundaries.
+//
+//meshlint:hot
+func (r *slicedRun) changedSince(blockMax []int32, last int32) bool {
+	for _, m := range blockMax[r.blo : r.bhi+1] {
+		if m >= last {
+			return true
+		}
+	}
+	return false
+}
+
+// sweep executes one step's runs on the slice words w as step tt and
+// returns the OR of the lanes' swap masks. Every pair stores lo&hi and
+// lo|hi, swapped or not, so the loop has no branch on the data: on the
+// paper's half-0/half-1 inputs 20–56% of the executed pairs swap in some
+// lane, depending on schedule, so a branch on it mispredicts often. Each
+// chunk of up to chunkPairs pairs sums its swap masks per lane in four
+// register bit-planes through a fixed half-adder chain; only a chunk in
+// which some lane swapped marks its blocks in blockMax and flushes its
+// sums into planes. The marks cover the blocks of both roles' first and
+// last cells, hence every cell of the chunk: each role's cells lie within
+// 64 consecutive cells, so at most two blocks.
+//
+//meshlint:hot
+func sweep(w []uint64, blockMax, runExec []int32, runs []slicedRun, tt int32, planes *[64]uint64) (dirty uint64) {
+	for ri := range runs {
+		r := &runs[ri]
+		if !r.changedSince(blockMax, runExec[ri]) {
+			continue
+		}
+		runExec[ri] = tt
+		f, delta, stride := int(r.base), int(r.delta), int(r.stride)
+		for left := int(r.count); left > 0; left -= chunkPairs {
+			k := min(left, chunkPairs)
+			ones, twos, fours, eights := sweepChunk(w, f, delta, stride, k)
+			if swapped := ones | twos | fours | eights; swapped != 0 {
+				dirty |= swapped
+				last := f + (k-1)*stride
+				blockMax[f>>blockShift] = tt
+				blockMax[(f+delta)>>blockShift] = tt
+				blockMax[last>>blockShift] = tt
+				blockMax[(last+delta)>>blockShift] = tt
+				addCounts(planes, ones, twos, fours, eights)
+			}
+			f += k * stride
+		}
+	}
+	return dirty
+}
+
+// sweepChunk compare-exchanges the k pairs (f, f+delta), f advancing by
+// stride, and returns their per-lane swap counts as four bit-planes. It
+// stays out of line: inlined, its thirteen live values and sweep's own
+// exceed the amd64 registers, and the planes spill to the stack on every
+// pair.
+//
+//meshlint:hot
+//go:noinline
+func sweepChunk(w []uint64, f, delta, stride, k int) (ones, twos, fours, eights uint64) {
+	for g := f + delta; k > 0; k-- {
+		lo, hi := w[f], w[g]
+		s := lo &^ hi
+		w[f], w[g] = lo&hi, hi|s // hi|s == lo|hi, and frees lo's register sooner
+		ones ^= s
+		c := s &^ ones // the carries: lanes where ones was set
+		twos ^= c
+		c &^= twos
+		fours ^= c
+		eights |= c &^ fours // no carry out: a chunk counts at most 15
+		f += stride
+		g += stride
+	}
+	return ones, twos, fours, eights
+}
+
+// addCounts adds a chunk's per-lane swap counts, the 4-bit numbers whose
+// bit-planes are ones..eights, into the bit-sliced lane counters: a
+// full-adder chain over the four low planes, then a carry ripple that
+// stops at the first plane absorbing it.
+//
+//meshlint:hot
+func addCounts(planes *[64]uint64, ones, twos, fours, eights uint64) {
+	carry := planes[0] & ones
+	planes[0] ^= ones
+	x := planes[1] ^ twos
+	carry, planes[1] = planes[1]&twos|x&carry, x^carry
+	x = planes[2] ^ fours
+	carry, planes[2] = planes[2]&fours|x&carry, x^carry
+	x = planes[3] ^ eights
+	carry, planes[3] = planes[3]&eights|x&carry, x^carry
+	for i := 4; carry != 0; i++ {
+		p := planes[i]
+		planes[i] = p ^ carry
+		carry &= p
+	}
 }
 
 // laneMisplaced counts lane k's 1s inside its zero region — the first

@@ -1,11 +1,15 @@
 package zeroone
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 	"repro/internal/workload"
 )
 
@@ -53,35 +57,69 @@ func TestTrialSliceRejectsNonBinary(t *testing.T) {
 	NewTrialSlice(1, 2).AddGrid(grid.FromRows([][]int{{0, 2}}))
 }
 
-// TestCompileSlicedShape pins the compiled layout: per-step comparator
-// counts match the schedule, pairs are disjoint within a step, and they
-// are ordered by lower flat cell (the memory-streaming guarantee).
+// TestCompileSlicedShape pins the compiled layout the sweep relies on,
+// for every schedule on shapes whose rows straddle 64-cell blocks and for
+// random adjacent-pair schedules: each step's runs expand back to exactly
+// the step's comparator set, advance through memory by lower cell, and
+// keep their lower cells inside one block, and blo..bhi covers every cell
+// a run touches.
 func TestCompileSlicedShape(t *testing.T) {
-	for _, name := range sched.Names() {
-		s, err := sched.ByName(name, 16, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := CompileSliced(s)
-		if ss.Period() != len(sched.PhasesOf(s)) {
-			t.Fatalf("%s: period %d != phases %d", name, ss.Period(), len(sched.PhasesOf(s)))
-		}
-		for i, st := range ss.steps {
-			if int64(len(st.pairs)) != st.comparisons {
-				t.Errorf("%s step %d: %d pairs but comparisons=%d", name, i+1, len(st.pairs), st.comparisons)
+	var scheds []sched.Schedule
+	for _, shape := range [][2]int{{16, 16}, {10, 22}, {7, 18}, {9, 9}, {1, 130}, {130, 2}} {
+		for _, name := range append(sched.Names(), "rm-rf-nowrap") {
+			if strings.HasPrefix(name, "rm-") && shape[1]%2 != 0 {
+				continue // the row-major schedules need even columns
 			}
-			seen := map[int32]bool{}
+			s, err := sched.ByName(name, shape[0], shape[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds = append(scheds, s)
+		}
+	}
+	for i, data := range [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}, {2, 2, 1, 0, 2, 1, 1}, {7, 1, 2, 200, 13, 8, 5, 31, 2, 9}} {
+		rows, cols, order := 24-i, 20+i, grid.Order(i%2)
+		phases, _ := schedtest.RandomPhases(rows, cols, order, data, false)
+		scheds = append(scheds, schedtest.NewPhases(rows, cols, order, phases))
+	}
+	for _, s := range scheds {
+		rows, cols := s.Dims()
+		ss := CompileSliced(s)
+		if ss.Period() != s.Period() {
+			t.Fatalf("%s %dx%d: period %d != %d", s.Name(), rows, cols, ss.Period(), s.Period())
+		}
+		for si, st := range ss.steps {
+			label := fmt.Sprintf("%s %dx%d step %d", s.Name(), rows, cols, si+1)
+			want := append([]sched.Comparator(nil), s.Step(si+1)...)
+			if st.comparisons != int64(len(want)) {
+				t.Fatalf("%s: comparisons=%d, want %d", label, st.comparisons, len(want))
+			}
+			var got []sched.Comparator
 			prev := int32(-1)
-			for _, c := range st.pairs {
-				if seen[c.Lo] || seen[c.Hi] {
-					t.Fatalf("%s step %d: comparators not disjoint", name, i+1)
-				}
-				seen[c.Lo], seen[c.Hi] = true, true
-				if low := pairLow(c); low < prev {
-					t.Fatalf("%s step %d: pairs not ordered by lower cell", name, i+1)
-				} else {
+			for _, r := range st.runs {
+				block := (r.base + min(r.delta, 0)) >> blockShift
+				for k := int32(0); k < r.count; k++ {
+					c := sched.Comparator{Lo: r.base + k*r.stride, Hi: r.base + k*r.stride + r.delta}
+					low := pairLow(c)
+					if low <= prev {
+						t.Fatalf("%s: run %+v breaks lower-cell order at %v", label, r, c)
+					}
 					prev = low
+					if low>>blockShift != block {
+						t.Fatalf("%s: run %+v has lower cells in blocks %d and %d", label, r, block, low>>blockShift)
+					}
+					for _, f := range [2]int32{c.Lo, c.Hi} {
+						if b := f >> blockShift; b < r.blo || b > r.bhi {
+							t.Fatalf("%s: run %+v touches block %d outside %d..%d", label, r, b, r.blo, r.bhi)
+						}
+					}
+					got = append(got, c)
 				}
+			}
+			schedtest.SortComparators(want)
+			schedtest.SortComparators(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: runs expand to %v, want %v", label, got, want)
 			}
 		}
 	}

@@ -189,12 +189,13 @@ func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int, sc *Threshol
 }
 
 // runThresholdChunk runs one 64-projection chunk to quiescence or
-// maxSteps. It is SortSliced's executor loop with the per-lane accounting
-// replaced by the permutation view: swaps counts low boundaries of each
-// comparator's swap mask (one per permutation swap owned by this chunk,
-// the sentinel lane 0 excluded), and lastSwap is the chunk-wide last step
-// that swapped anything — the step its slowest projection finished, since
-// a sorted 0-1 lane is a fixed point from its last swap on.
+// maxSteps. It runs SortSliced's compiled runs under the same skip rule,
+// with the per-lane accounting replaced by the permutation view: swaps
+// counts low boundaries of each comparator's swap mask (one per
+// permutation swap owned by this chunk, the sentinel lane 0 excluded), and
+// lastSwap is the chunk-wide last step that swapped anything — the step
+// its slowest projection finished, since a sorted 0-1 lane is a fixed
+// point from its last swap on.
 //
 //meshlint:hot
 func runThresholdChunk(w []uint64, ss *SlicedSchedule, maxSteps int, sc *ThresholdScratch) (lastSwap int32, swaps int64, unsorted bool) {
@@ -218,83 +219,21 @@ func runThresholdChunk(w []uint64, ss *SlicedSchedule, maxSteps int, sc *Thresho
 		tt := int32(t)
 		for ri := range st.runs {
 			r := &st.runs[ri]
-			changed := false
-			for b := r.blo; b <= r.bhi; b++ {
-				if blockMax[b] >= runExec[ri] {
-					changed = true
-					break
-				}
-			}
-			if !changed {
+			if !r.changedSince(blockMax, runExec[ri]) {
 				continue
 			}
 			runExec[ri] = tt
-			base := int(r.base)
-			switch r.kind {
-			case runRowFwd:
-				v := w[base : base+2*int(r.count)]
-				for j := 0; j+1 < len(v); j += 2 {
-					lo, hi := v[j], v[j+1]
-					s := lo &^ hi
-					if s == 0 {
-						continue
-					}
+			f, delta, stride := int(r.base), int(r.delta), int(r.stride)
+			for j := int32(0); j < r.count; j++ {
+				lo, hi := w[f], w[f+delta]
+				if s := lo &^ hi; s != 0 {
 					dirty |= s
-					v[j] = lo & hi
-					v[j+1] = lo | hi
-					blockMax[(base+j)>>blockShift] = tt
-					blockMax[(base+j+1)>>blockShift] = tt
+					w[f], w[f+delta] = lo&hi, lo|hi
+					blockMax[f>>blockShift] = tt
+					blockMax[(f+delta)>>blockShift] = tt
 					swaps += int64(bits.OnesCount64(s &^ (s << 1) &^ 1))
 				}
-			case runRowRev:
-				// Pair k compares cells (base+2k, base+2k−1): the min role
-				// sits one past the max role, so the window starts at base−1.
-				v := w[base-1 : base-1+2*int(r.count)]
-				for j := 0; j+1 < len(v); j += 2 {
-					lo, hi := v[j+1], v[j]
-					s := lo &^ hi
-					if s == 0 {
-						continue
-					}
-					dirty |= s
-					v[j+1] = lo & hi
-					v[j] = lo | hi
-					blockMax[(base-1+j)>>blockShift] = tt
-					blockMax[(base+j)>>blockShift] = tt
-					swaps += int64(bits.OnesCount64(s &^ (s << 1) &^ 1))
-				}
-			case runVert:
-				a := w[base : base+int(r.count)]
-				b := w[base+int(r.delta):][:len(a)]
-				for j := range a {
-					lo, hi := a[j], b[j]
-					s := lo &^ hi
-					if s == 0 {
-						continue
-					}
-					dirty |= s
-					a[j] = lo & hi
-					b[j] = lo | hi
-					blockMax[(base+j)>>blockShift] = tt
-					blockMax[(base+j+int(r.delta))>>blockShift] = tt
-					swaps += int64(bits.OnesCount64(s &^ (s << 1) &^ 1))
-				}
-			default:
-				f := base
-				delta, stride := int(r.delta), int(r.stride)
-				for j := int32(0); j < r.count; j++ {
-					lo, hi := w[f], w[f+delta]
-					s := lo &^ hi
-					if s != 0 {
-						dirty |= s
-						w[f] = lo & hi
-						w[f+delta] = lo | hi
-						blockMax[f>>blockShift] = tt
-						blockMax[(f+delta)>>blockShift] = tt
-						swaps += int64(bits.OnesCount64(s &^ (s << 1) &^ 1))
-					}
-					f += stride
-				}
+				f += stride
 			}
 		}
 		// Quiescence for a full period means every projection of the chunk
