@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-batch bench-kernel bench-zeroone bench-threshold bench-bigside bench-fabric experiments experiments-quick experiments-output lemmas fmt vet cover lint meshlint vet-perf serve-smoke store-smoke fabric-smoke
+.PHONY: all build test test-race bench bench-batch bench-kernel bench-zeroone bench-bigside bench-fabric experiments experiments-quick experiments-output lemmas fmt vet cover lint meshlint vet-perf serve-smoke store-smoke fabric-smoke
 
 all: build vet test
 
@@ -19,8 +19,8 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable speedup record for the batched trial engine and the
-# bit-packed 0-1 kernel (writes BENCH_batch.json at the repo root).
+# Machine-readable speedup record for the batched trial engine against
+# the historical per-trial loop (writes BENCH_batch.json at the repo root).
 bench-batch:
 	$(GO) run ./cmd/benchbatch -suite batch -out BENCH_batch.json
 
@@ -31,18 +31,11 @@ bench-batch:
 bench-kernel:
 	$(GO) run ./cmd/benchbatch -suite kernel -out BENCH_kernel.json $(BENCHFLAGS)
 
-# 0-1 kernel-family sweep: cellwise vs cell-packed vs trial-sliced
-# ns/trial per side, with a built-in lockstep-equivalence differential
-# (writes BENCH_zeroone.json at the repo root).
+# 0-1 kernel sweep: cellwise vs trial-sliced ns/trial per side, with a
+# built-in lockstep-equivalence differential (writes BENCH_zeroone.json
+# at the repo root).
 bench-zeroone:
 	$(GO) run ./cmd/benchbatch -suite zeroone -out BENCH_zeroone.json $(BENCHFLAGS)
-
-# Exact-permutation executor sweep: span kernel vs threshold-sliced
-# kernel vs the scalar per-threshold decomposition, with a built-in
-# span/threshold differential and a measured tuner calibration table
-# (writes BENCH_threshold.json at the repo root).
-bench-threshold:
-	$(GO) run ./cmd/benchbatch -suite threshold -out BENCH_threshold.json $(BENCHFLAGS)
 
 # Large-mesh sharded span sweep: serial span baseline vs the sharded
 # executor across shard counts and GOMAXPROCS, with a built-in

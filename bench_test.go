@@ -14,7 +14,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/workload"
-	"repro/internal/zeroone"
 )
 
 // ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ func BenchmarkE17SmallestSettle(b *testing.B)   { benchExperiment(b, "E17") }
 // Core throughput: steps/sec for each algorithm on random permutations.
 // ---------------------------------------------------------------------------
 
-func benchSort(b *testing.B, alg Algorithm, side, workers int) {
+func benchSort(b *testing.B, alg Algorithm, side int) {
 	b.Helper()
 	src := rng.New(99)
 	inputs := make([]*Grid, 8)
@@ -78,7 +77,7 @@ func benchSort(b *testing.B, alg Algorithm, side, workers int) {
 	totalSteps := 0
 	for i := 0; i < b.N; i++ {
 		g := inputs[i%len(inputs)].Clone()
-		res, err := Sort(g, alg, Options{Workers: workers})
+		res, err := Sort(g, alg, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,19 +90,9 @@ func BenchmarkSort(b *testing.B) {
 	for _, alg := range append(Algorithms(), Shearsort) {
 		for _, side := range []int{16, 32, 64} {
 			b.Run(fmt.Sprintf("%s/side%d", alg.ShortName(), side), func(b *testing.B) {
-				benchSort(b, alg, side, 0)
+				benchSort(b, alg, side)
 			})
 		}
-	}
-}
-
-// BenchmarkSortParallel compares the sequential and worker-pool executors
-// on a larger mesh (the per-step comparator sets are what parallelize).
-func BenchmarkSortParallel(b *testing.B) {
-	for _, workers := range []int{0, 2, 4, 8} {
-		b.Run(fmt.Sprintf("snake-a/side128/workers%d", workers), func(b *testing.B) {
-			benchSort(b, SnakeA, 128, workers)
-		})
 	}
 }
 
@@ -240,44 +229,6 @@ func BenchmarkBatchedTrials(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/trial")
 	})
-}
-
-// BenchmarkZeroOnePacked compares the scalar engine against the bit-packed
-// 0-1 kernel on the same half-ones grids. Both produce identical Result
-// structs and final grids (see the engine differential suite); the packed
-// path processes 64 cells per word operation.
-func BenchmarkZeroOnePacked(b *testing.B) {
-	for _, side := range []int{32, 64} {
-		src := rng.New(17)
-		inputs := make([]*Grid, 8)
-		for i := range inputs {
-			inputs[i] = workload.HalfZeroOne(src, side, side)
-		}
-		s, err := sched.Cached("snake-a", side, side)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ps, err := zeroone.CachedPacked("snake-a", side, side)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("scalar/side%d", side), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := inputs[i%len(inputs)].Clone()
-				if _, err := engine.Run(g, s, engine.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("packed/side%d", side), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := inputs[i%len(inputs)].Clone()
-				if _, err := zeroone.SortPacked(g, ps, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkStepApplication measures raw comparator throughput for one step.

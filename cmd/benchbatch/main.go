@@ -1,37 +1,26 @@
 // Command benchbatch measures the headline speedups of the Monte-Carlo
-// trial machinery and writes them as machine-readable JSON. It has four
+// trial machinery and writes them as machine-readable JSON. It has five
 // suites:
 //
 //   - batch (default, BENCH_batch.json via `make bench-batch`): the
 //     historical per-trial loop (schedule rebuilt every trial, Step(t)
 //     fetched through the interface, tracker dispatched per swap) against
-//     mcbatch.RunCtx on the same seeds and trials, plus the scalar engine
-//     against the bit-packed 0-1 kernel on identical half-ones grids.
+//     mcbatch.RunCtx on the same seeds and trials.
 //   - kernel (BENCH_kernel.json via `make bench-kernel`): the span kernel
 //     sweep — for each side in {32, 64, 128}, single-thread legacy vs
 //     generic-kernel vs span-kernel ns/trial, and span-kernel trial
 //     throughput across GOMAXPROCS in {1, 2, 4, 8} with parallel
 //     efficiency relative to the single-thread point.
 //   - zeroone (BENCH_zeroone.json via `make bench-zeroone`): the 0-1
-//     kernel-family sweep — for each side in {32, 64, 128}, single-thread
-//     ns/trial and allocs/trial of the cellwise scalar engine, the
-//     per-trial cell-packed kernel, and the trial-sliced lockstep kernel
-//     (64 trials per machine word), on identical inputs pregenerated from
-//     the batch's canonical per-trial streams (generation is byte-equal
-//     across arms, so the timed region is the kernel alone). The suite
-//     doubles as a differential check: before timing, the three kernels
-//     run through mcbatch.RunCtx and must return bit-identical batches or
-//     the run fails. For peak sliced numbers keep -trials a multiple of
-//     64 (full lane occupancy).
-//   - threshold (BENCH_threshold.json via `make bench-threshold`): the
-//     exact permutation executors — span kernel, threshold-sliced kernel,
-//     and the scalar per-threshold decomposition — on identical
-//     pregenerated permutation inputs, plus a measured tuner calibration
-//     table over the suite's shapes. The threshold kernel does Θ(N/64)×
-//     the span kernel's work by construction, so the report's honest
-//     ratios show span far ahead on throughput and the threshold kernel
-//     far ahead of the scalar decomposition it replaces for
-//     verification.
+//     kernel sweep — for each side in {32, 64, 128}, single-thread
+//     ns/trial and allocs/trial of the cellwise scalar engine and the
+//     trial-sliced lockstep kernel (64 trials per machine word), on
+//     identical inputs pregenerated from the batch's canonical per-trial
+//     streams (generation is byte-equal across arms, so the timed region
+//     is the kernel alone). The suite doubles as a differential check:
+//     before timing, both kernels run through mcbatch.RunCtx and must
+//     return bit-identical batches or the run fails. For peak sliced
+//     numbers keep -trials a multiple of 64 (full lane occupancy).
 //   - bigside (BENCH_bigside.json via `make bench-bigside`): the sharded
 //     span executor on large meshes — for each side (default
 //     {256, 512, 1024}), a single-thread serial span baseline, then a
@@ -61,7 +50,7 @@
 //
 // Usage:
 //
-//	benchbatch [-suite batch|kernel|zeroone|threshold|bigside|fabric] [-out FILE] [-reps 5] [-trials 64]
+//	benchbatch [-suite batch|kernel|zeroone|bigside|fabric] [-out FILE] [-reps 5] [-trials 64]
 //	           [-sides 256,512,1024] [-shards 1,2,4,8] [-procs N,...]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 package main
@@ -85,12 +74,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/mcbatch"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/sortnet"
 	"repro/internal/workload"
 	"repro/internal/zeroone"
 )
@@ -162,22 +149,9 @@ type batchedResult struct {
 	Speedup              float64 `json:"speedup"`
 }
 
-type zeroOneResult struct {
-	Side               int     `json:"side"`
-	Inputs             int     `json:"inputs"`
-	Reps               int     `json:"reps"`
-	GOMAXPROCS         int     `json:"gomaxprocs"`
-	ScalarNsPerRun     float64 `json:"scalar_ns_per_run"`
-	PackedNsPerRun     float64 `json:"packed_ns_per_run"`
-	ScalarAllocsPerRun float64 `json:"scalar_allocs_per_run"`
-	PackedAllocsPerRun float64 `json:"packed_allocs_per_run"`
-	Speedup            float64 `json:"speedup"`
-}
-
 type batchReport struct {
 	hostInfo
-	Batched batchedResult   `json:"batched"`
-	ZeroOne []zeroOneResult `json:"zeroone"`
+	Batched batchedResult `json:"batched"`
 }
 
 // singleThreadResult is one gomaxprocs=1 comparison of the three
@@ -218,72 +192,28 @@ type kernelReport struct {
 	Scaling      []scalingResult      `json:"scaling"`
 }
 
-// zeroOneSlicedResult is one gomaxprocs=1 comparison of the three 0-1
+// zeroOneSlicedResult is one gomaxprocs=1 comparison of the two 0-1
 // kernel families on one side. The ns/trial figures time the sort kernels
 // only, on inputs pregenerated once from the batch's canonical per-trial
 // streams: workload generation is stream-pinned and byte-identical across
-// arms, so including it would only dilute the kernel ratios. The sliced
+// arms, so including it would only dilute the kernel ratio. The sliced
 // arm's timed region does include the AddGrid bit-transpose — that is its
 // per-trial price of admission. The embedded spec's kernel field is left
-// empty: the record compares all three families.
+// empty: the record compares both families.
 type zeroOneSlicedResult struct {
 	report.SpecJSON
 	Reps                   int     `json:"reps"`
 	GOMAXPROCS             int     `json:"gomaxprocs"`
 	CellwiseNsPerTrial     float64 `json:"cellwise_ns_per_trial"`
-	PackedNsPerTrial       float64 `json:"packed_ns_per_trial"`
 	SlicedNsPerTrial       float64 `json:"sliced_ns_per_trial"`
 	CellwiseAllocsPerTrial float64 `json:"cellwise_allocs_per_trial"`
-	PackedAllocsPerTrial   float64 `json:"packed_allocs_per_trial"`
 	SlicedAllocsPerTrial   float64 `json:"sliced_allocs_per_trial"`
-	SlicedVsPacked         float64 `json:"sliced_vs_packed"`
 	SlicedVsCellwise       float64 `json:"sliced_vs_cellwise"`
-	PackedVsCellwise       float64 `json:"packed_vs_cellwise"`
 }
 
 type zeroOneSuiteReport struct {
 	hostInfo
 	Results []zeroOneSlicedResult `json:"results"`
-}
-
-// thresholdResult is one gomaxprocs=1 comparison of the three exact
-// permutation executors on one side: the span kernel (the throughput
-// path), the threshold-sliced kernel, and the scalar per-threshold
-// decomposition (sortnet.StepsViaThresholds — N−1 separate engine runs).
-// The honest framing: the threshold kernel does Θ(N/64)× the span
-// kernel's work by construction (it sorts every threshold projection,
-// and Σ_k swaps_k ≈ N³/12 while the span path's swaps are ≈ N²·E[steps]
-// per N), so ThresholdVsSpan is expected to be well below 1. Its win is
-// over the scalar decomposition it replaces as the verification
-// executor: ThresholdVsScalarDecomp is the ≥2x claim.
-type thresholdResult struct {
-	report.SpecJSON
-	Reps                int     `json:"reps"`
-	GOMAXPROCS          int     `json:"gomaxprocs"`
-	Chunks              int     `json:"chunks"` // ceil((N-1)/63) threshold chunks per trial
-	SpanNsPerTrial      float64 `json:"span_ns_per_trial"`
-	ThresholdNsPerTrial float64 `json:"threshold_ns_per_trial"`
-	SpanAllocsPerTrial  float64 `json:"span_allocs_per_trial"`
-	// ThresholdAllocsPerTrial is asserted to be exactly zero: with a
-	// reused scratch, SortThresholds touches no heap at all.
-	ThresholdAllocsPerTrial float64 `json:"threshold_allocs_per_trial"`
-	// The scalar decomposition is timed on its own smaller input count
-	// (DecompTrials): it is hundreds of times slower, and timing the full
-	// batch through it would dominate the suite's wall clock.
-	DecompTrials            int     `json:"decomp_trials"`
-	ScalarDecompNsPerTrial  float64 `json:"scalar_decomp_ns_per_trial"`
-	ThresholdVsSpan         float64 `json:"threshold_vs_span"`
-	ThresholdVsScalarDecomp float64 `json:"threshold_vs_scalar_decomp"`
-}
-
-type thresholdSuiteReport struct {
-	hostInfo
-	Results []thresholdResult `json:"results"`
-	// Tuner is a measured calibration table over the suite's shapes,
-	// produced with the same probe machinery mcbatch uses when
-	// $MESHSORT_TUNE is on — recorded so the report shows what a measured
-	// auto-tune would pick on this machine.
-	Tuner kernels.Table `json:"tuner"`
 }
 
 // allocsPerOp runs fn once outside any timed region and returns the heap
@@ -325,8 +255,7 @@ func allocsPerOpWarm(ops int, warm func(), fn func() error) (float64, error) {
 // ceiling, so a kernel that starts allocating per step or per swap fails
 // `make bench-*` loudly instead of drifting until someone rereads a
 // report. Budgets are ceilings on today's measured per-trial setup costs
-// (tracker, shadow arrays, result structs), not targets — the
-// threshold arm with reused scratch asserts exactly zero.
+// (tracker, shadow arrays, result structs), not targets.
 func assertAllocBudget(name string, got, budget float64) error {
 	if got > budget {
 		return fmt.Errorf("%s ran at %.3f allocs/op over its budget of %g — a hot kernel started allocating (gate: docs/INVARIANTS.md, performance invariants)",
@@ -431,79 +360,6 @@ func measureBatched(reps, trials int, side int, seed uint64) (batchedResult, err
 		LegacyAllocsPerTrial: legacyAllocs,
 		BatchAllocsPerTrial:  batchAllocs,
 		Speedup:              legacy / batch,
-	}, nil
-}
-
-func measureZeroOne(reps, side int) (zeroOneResult, error) {
-	const inputs = 8
-	src := rng.New(17)
-	grids := make([]*meshsort.Grid, inputs)
-	for i := range grids {
-		grids[i] = workload.HalfZeroOne(src, side, side)
-	}
-	s, err := sched.Cached("snake-a", side, side)
-	if err != nil {
-		return zeroOneResult{}, err
-	}
-	ps, err := zeroone.CachedPacked("snake-a", side, side)
-	if err != nil {
-		return zeroOneResult{}, err
-	}
-	scalarBest, packedBest := time.Duration(1<<62), time.Duration(1<<62)
-	for rep := 0; rep < reps; rep++ {
-		start := time.Now()
-		for _, in := range grids {
-			if _, err := engine.Run(in.Clone(), s, engine.Options{}); err != nil {
-				return zeroOneResult{}, err
-			}
-		}
-		if d := time.Since(start); d < scalarBest {
-			scalarBest = d
-		}
-		start = time.Now()
-		for _, in := range grids {
-			if _, err := zeroone.SortPacked(in.Clone(), ps, 0); err != nil {
-				return zeroOneResult{}, err
-			}
-		}
-		if d := time.Since(start); d < packedBest {
-			packedBest = d
-		}
-	}
-	scalar := float64(scalarBest.Nanoseconds()) / float64(inputs)
-	packed := float64(packedBest.Nanoseconds()) / float64(inputs)
-	scalarAllocs, err := allocsPerOp(inputs, func() error {
-		for _, in := range grids {
-			if _, err := engine.Run(in.Clone(), s, engine.Options{}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return zeroOneResult{}, err
-	}
-	packedAllocs, err := allocsPerOp(inputs, func() error {
-		for _, in := range grids {
-			if _, err := zeroone.SortPacked(in.Clone(), ps, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return zeroOneResult{}, err
-	}
-	return zeroOneResult{
-		Side:               side,
-		Inputs:             inputs,
-		Reps:               reps,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		ScalarNsPerRun:     scalar,
-		PackedNsPerRun:     packed,
-		ScalarAllocsPerRun: scalarAllocs,
-		PackedAllocsPerRun: packedAllocs,
-		Speedup:            scalar / packed,
 	}, nil
 }
 
@@ -630,9 +486,9 @@ func measureSingleThread(reps, trials, side int, seed uint64) (singleThreadResul
 	}, nil
 }
 
-// measureZeroOneSliced compares the three 0-1 kernel families at
+// measureZeroOneSliced compares the two 0-1 kernel families at
 // GOMAXPROCS=1 on one side. It first runs the spec through mcbatch.RunCtx
-// once per kernel family (untimed) and fails unless all three return
+// once per kernel family (untimed) and fails unless both return
 // bit-identical batches — the bench run is itself a lockstep-equivalence
 // differential. It then pregenerates the batch's inputs from the
 // canonical per-trial streams and times the kernels alone, interleaved
@@ -646,9 +502,9 @@ func measureZeroOneSliced(reps, trials, side int, seed uint64) (zeroOneSlicedRes
 		Algorithm: alg, Rows: side, Cols: side, Trials: trials, Seed: seed,
 		Workers: 1, ZeroOne: true,
 	}
-	names := [3]string{"cellwise", "packed", "sliced"}
-	var batches [3]*mcbatch.Batch
-	for i, k := range [3]core.Kernel{core.KernelGeneric, core.KernelPacked, core.KernelSliced} {
+	names := [2]string{"cellwise", "sliced"}
+	var batches [2]*mcbatch.Batch
+	for i, k := range [2]core.Kernel{core.KernelGeneric, core.KernelSliced} {
 		spec.Kernel = k
 		b, err := mcbatch.RunCtx(context.Background(), spec)
 		if err != nil {
@@ -656,21 +512,15 @@ func measureZeroOneSliced(reps, trials, side int, seed uint64) (zeroOneSlicedRes
 		}
 		batches[i] = b
 	}
-	for i := 1; i < len(batches); i++ {
-		if !reflect.DeepEqual(batches[0].Trials, batches[i].Trials) || batches[0].Steps != batches[i].Steps {
-			return zeroOneSlicedResult{}, fmt.Errorf(
-				"side %d: %s batch differs from %s batch — kernel families are not lockstep-equivalent",
-				side, names[i], names[0])
-		}
+	if !reflect.DeepEqual(batches[0].Trials, batches[1].Trials) || batches[0].Steps != batches[1].Steps {
+		return zeroOneSlicedResult{}, fmt.Errorf(
+			"side %d: %s batch differs from %s batch — kernel families are not lockstep-equivalent",
+			side, names[1], names[0])
 	}
 
 	name := alg.ShortName()
 	inputs := pregenInputs(alg, side, trials, seed, workload.HalfZeroOneInto)
 	s, err := sched.Cached(name, side, side)
-	if err != nil {
-		return zeroOneSlicedResult{}, err
-	}
-	ps, err := zeroone.CachedPacked(name, side, side)
 	if err != nil {
 		return zeroOneSlicedResult{}, err
 	}
@@ -689,15 +539,6 @@ func measureZeroOneSliced(reps, trials, side int, seed uint64) (zeroOneSlicedRes
 		}
 		return nil
 	}
-	runPacked := func() error {
-		for _, in := range inputs {
-			copy(buf.Cells(), in.Cells())
-			if _, err := zeroone.SortPacked(buf, ps, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	runSliced := func() error {
 		for base := 0; base < trials; base += 64 {
 			ts.Reset()
@@ -710,8 +551,8 @@ func measureZeroOneSliced(reps, trials, side int, seed uint64) (zeroOneSlicedRes
 		}
 		return nil
 	}
-	arms := [3]func() error{runCellwise, runPacked, runSliced}
-	best := [3]time.Duration{1 << 62, 1 << 62, 1 << 62}
+	arms := [2]func() error{runCellwise, runSliced}
+	best := [2]time.Duration{1 << 62, 1 << 62}
 	for rep := 0; rep < reps; rep++ {
 		for i, run := range arms {
 			start := time.Now()
@@ -723,7 +564,7 @@ func measureZeroOneSliced(reps, trials, side int, seed uint64) (zeroOneSlicedRes
 			}
 		}
 	}
-	var allocs [3]float64
+	var allocs [2]float64
 	for i, run := range arms {
 		a, err := allocsPerOp(trials, run)
 		if err != nil {
@@ -737,15 +578,11 @@ func measureZeroOneSliced(reps, trials, side int, seed uint64) (zeroOneSlicedRes
 	if err := assertAllocBudget("cellwise 0-1 engine", allocs[0], 8); err != nil {
 		return zeroOneSlicedResult{}, err
 	}
-	if err := assertAllocBudget("packed 0-1 kernel", allocs[1], 12); err != nil {
-		return zeroOneSlicedResult{}, err
-	}
-	if err := assertAllocBudget("sliced 0-1 kernel", allocs[2], 0.999); err != nil {
+	if err := assertAllocBudget("sliced 0-1 kernel", allocs[1], 0.999); err != nil {
 		return zeroOneSlicedResult{}, err
 	}
 	cellwise := float64(best[0].Nanoseconds()) / float64(trials)
-	packed := float64(best[1].Nanoseconds()) / float64(trials)
-	sliced := float64(best[2].Nanoseconds()) / float64(trials)
+	sliced := float64(best[1].Nanoseconds()) / float64(trials)
 	spec.Kernel = core.KernelAuto
 	enc := report.SpecOf(spec)
 	enc.Kernel = "" // the record compares executors, so no single kernel applies
@@ -754,141 +591,10 @@ func measureZeroOneSliced(reps, trials, side int, seed uint64) (zeroOneSlicedRes
 		Reps:                   reps,
 		GOMAXPROCS:             1,
 		CellwiseNsPerTrial:     cellwise,
-		PackedNsPerTrial:       packed,
 		SlicedNsPerTrial:       sliced,
 		CellwiseAllocsPerTrial: allocs[0],
-		PackedAllocsPerTrial:   allocs[1],
-		SlicedAllocsPerTrial:   allocs[2],
-		SlicedVsPacked:         packed / sliced,
+		SlicedAllocsPerTrial:   allocs[1],
 		SlicedVsCellwise:       cellwise / sliced,
-		PackedVsCellwise:       cellwise / packed,
-	}, nil
-}
-
-// measureThreshold compares the exact permutation executors at
-// GOMAXPROCS=1 on one side. Like the zeroone suite it is a differential
-// first: the span and threshold kernels run the spec through mcbatch.RunCtx
-// untimed and must return bit-identical batches. The timed arms then run
-// on inputs pregenerated from the batch's canonical streams: the span
-// kernel and the threshold kernel over all trials, the scalar
-// per-threshold decomposition over a small fixed slice of them.
-func measureThreshold(reps, trials, side int, seed uint64) (thresholdResult, error) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
-	alg := meshsort.SnakeA
-	spec := mcbatch.Spec{
-		Algorithm: alg, Rows: side, Cols: side, Trials: trials, Seed: seed,
-		Workers: 1,
-	}
-	spec.Kernel = core.KernelSpan
-	spanBatch, err := mcbatch.RunCtx(context.Background(), spec)
-	if err != nil {
-		return thresholdResult{}, fmt.Errorf("span arm: %w", err)
-	}
-	spec.Kernel = core.KernelThreshold
-	threshBatch, err := mcbatch.RunCtx(context.Background(), spec)
-	if err != nil {
-		return thresholdResult{}, fmt.Errorf("threshold arm: %w", err)
-	}
-	if !reflect.DeepEqual(spanBatch.Trials, threshBatch.Trials) || spanBatch.Steps != threshBatch.Steps {
-		return thresholdResult{}, fmt.Errorf(
-			"side %d: threshold batch differs from span batch — kernels are not equivalent", side)
-	}
-
-	name := alg.ShortName()
-	inputs := pregenInputs(alg, side, trials, seed, workload.RandomPermutationInto)
-	s, err := sched.Cached(name, side, side)
-	if err != nil {
-		return thresholdResult{}, err
-	}
-	ss, err := zeroone.CachedSliced(name, side, side)
-	if err != nil {
-		return thresholdResult{}, err
-	}
-	decompTrials := trials
-	if decompTrials > 2 {
-		decompTrials = 2
-	}
-	buf := grid.New(side, side)
-	sc := zeroone.NewThresholdScratch(side, side)
-	runSpan := func() error {
-		for _, in := range inputs {
-			copy(buf.Cells(), in.Cells())
-			if _, err := engine.Run(buf, s, engine.Options{Kernel: engine.KernelSpan}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	runThreshold := func() error {
-		for _, in := range inputs {
-			copy(buf.Cells(), in.Cells())
-			if _, err := zeroone.SortThresholds(buf, ss, 0, sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	runDecomp := func() error {
-		for _, in := range inputs[:decompTrials] {
-			if _, err := sortnet.StepsViaThresholds(in, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	names := [3]string{"span", "threshold", "scalar-decomp"}
-	arms := [3]func() error{runSpan, runThreshold, runDecomp}
-	best := [3]time.Duration{1 << 62, 1 << 62, 1 << 62}
-	for rep := 0; rep < reps; rep++ {
-		for i, run := range arms {
-			start := time.Now()
-			if err := run(); err != nil {
-				return thresholdResult{}, fmt.Errorf("%s arm: %w", names[i], err)
-			}
-			if d := time.Since(start); d < best[i] {
-				best[i] = d
-			}
-		}
-	}
-	spanAllocs, err := allocsPerOp(trials, runSpan)
-	if err != nil {
-		return thresholdResult{}, err
-	}
-	threshAllocs, err := allocsPerOp(trials, runThreshold)
-	if err != nil {
-		return thresholdResult{}, err
-	}
-	if err := assertAllocBudget("span kernel (threshold suite)", spanAllocs, 16); err != nil {
-		return thresholdResult{}, err
-	}
-	// The timed loops above have warmed the reused scratch, so the
-	// threshold arm must now run entirely allocation-free — zero, not a
-	// budget: one stray make in the chunk executor is one too many.
-	if err := assertAllocBudget("threshold kernel with reused scratch", threshAllocs, 0); err != nil {
-		return thresholdResult{}, err
-	}
-	span := float64(best[0].Nanoseconds()) / float64(trials)
-	thresh := float64(best[1].Nanoseconds()) / float64(trials)
-	decomp := float64(best[2].Nanoseconds()) / float64(decompTrials)
-	n := side * side
-	spec.Kernel = core.KernelAuto
-	enc := report.SpecOf(spec)
-	enc.Kernel = "" // the record compares executors, so no single kernel applies
-	return thresholdResult{
-		SpecJSON:                enc,
-		Reps:                    reps,
-		GOMAXPROCS:              1,
-		Chunks:                  (n - 2 + 63) / 63,
-		SpanNsPerTrial:          span,
-		ThresholdNsPerTrial:     thresh,
-		SpanAllocsPerTrial:      spanAllocs,
-		ThresholdAllocsPerTrial: threshAllocs,
-		DecompTrials:            decompTrials,
-		ScalarDecompNsPerTrial:  decomp,
-		ThresholdVsSpan:         span / thresh,
-		ThresholdVsScalarDecomp: decomp / thresh,
 	}, nil
 }
 
@@ -1197,16 +903,7 @@ func runBatchSuite(reps, trials int) (any, string, error) {
 		return nil, "", err
 	}
 	rep.Batched = batched
-	for _, side := range []int{32, 64} {
-		zo, err := measureZeroOne(reps, side)
-		if err != nil {
-			return nil, "", err
-		}
-		rep.ZeroOne = append(rep.ZeroOne, zo)
-	}
-	summary := fmt.Sprintf("batched %.2fx, zero-one %.2fx (side 32) / %.2fx (side 64)",
-		rep.Batched.Speedup, rep.ZeroOne[0].Speedup, rep.ZeroOne[1].Speedup)
-	return rep, summary, nil
+	return rep, fmt.Sprintf("batched %.2fx", rep.Batched.Speedup), nil
 }
 
 func runKernelSuite(reps, trials int) (any, string, error) {
@@ -1256,52 +953,8 @@ func runZeroOneSuite(reps, trials int) (any, string, error) {
 		}
 		rep.Results = append(rep.Results, r)
 	}
-	summary := fmt.Sprintf("sliced vs packed %.2fx / %.2fx / %.2fx at sides 32/64/128 (vs cellwise %.2fx / %.2fx / %.2fx)",
-		rep.Results[0].SlicedVsPacked, rep.Results[1].SlicedVsPacked, rep.Results[2].SlicedVsPacked,
+	summary := fmt.Sprintf("sliced vs cellwise %.2fx / %.2fx / %.2fx at sides 32/64/128",
 		rep.Results[0].SlicedVsCellwise, rep.Results[1].SlicedVsCellwise, rep.Results[2].SlicedVsCellwise)
-	return rep, summary, nil
-}
-
-func runThresholdSuite(reps, trials int) (any, string, error) {
-	rep := thresholdSuiteReport{hostInfo: collectHostInfo()}
-	const seed = 7
-	sides := []int{16, 32, 64}
-	for _, side := range sides {
-		r, err := measureThreshold(reps, kernelTrials(trials, side), side, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		rep.Results = append(rep.Results, r)
-	}
-
-	// Calibrate a measured tuner over the same shapes, with a probe that
-	// runs a small pinned batch per kernel — exactly what mcbatch does
-	// under $MESHSORT_TUNE — and record the table in the report.
-	tu := kernels.NewTuner("")
-	for _, side := range sides {
-		side := side
-		key := kernels.Key{Algorithm: "snake-a", Rows: side, Cols: side, Class: kernels.Permutation}
-		probe := func(k core.Kernel) (float64, error) {
-			const probeTrials = 4
-			spec := mcbatch.Spec{
-				Algorithm: meshsort.SnakeA, Rows: side, Cols: side,
-				Trials: probeTrials, Seed: seed, Workers: 1, Kernel: k,
-			}
-			start := time.Now()
-			if _, err := mcbatch.RunCtx(context.Background(), spec); err != nil {
-				return 0, err
-			}
-			return float64(time.Since(start).Nanoseconds()) / probeTrials, nil
-		}
-		if _, err := tu.Calibrate(key, probe); err != nil {
-			return nil, "", err
-		}
-	}
-	rep.Tuner = tu.Table()
-
-	mid := rep.Results[1]
-	summary := fmt.Sprintf("threshold vs scalar decomposition %.2fx, vs span %.3fx at side 32 (%d chunks/trial)",
-		mid.ThresholdVsScalarDecomp, mid.ThresholdVsSpan, mid.Chunks)
 	return rep, summary, nil
 }
 
@@ -1312,7 +965,7 @@ func fatal(err error) {
 
 func main() {
 	var (
-		suite      = flag.String("suite", "batch", "benchmark suite: batch, kernel, zeroone, threshold, bigside or fabric")
+		suite      = flag.String("suite", "batch", "benchmark suite: batch, kernel, zeroone, bigside or fabric")
 		out        = flag.String("out", "", "output file ('-' for stdout; default BENCH_<suite>.json)")
 		reps       = flag.Int("reps", 5, "interleaved repetitions per arm (minimum is reported)")
 		trials     = flag.Int("trials", 64, "Monte-Carlo trials per rep (kernel suite: count at side 32, bigside: at side 256; scaled by area)")
@@ -1335,8 +988,6 @@ func main() {
 			*out = "BENCH_kernel.json"
 		case "zeroone":
 			*out = "BENCH_zeroone.json"
-		case "threshold":
-			*out = "BENCH_threshold.json"
 		case "bigside":
 			*out = "BENCH_bigside.json"
 		case "fabric":
@@ -1368,8 +1019,6 @@ func main() {
 		rep, summary, err = runKernelSuite(*reps, *trials)
 	case "zeroone":
 		rep, summary, err = runZeroOneSuite(*reps, *trials)
-	case "threshold":
-		rep, summary, err = runThresholdSuite(*reps, *trials)
 	case "bigside":
 		var sideList, shardList, procList []int
 		if sideList, err = parseIntsCSV("sides", *sides); err == nil {
@@ -1390,7 +1039,7 @@ func main() {
 	case "fabric":
 		rep, summary, err = runFabricSuite(*reps, *trials)
 	default:
-		fmt.Fprintf(os.Stderr, "benchbatch: unknown suite %q (want batch, kernel, zeroone, threshold, bigside or fabric)\n", *suite)
+		fmt.Fprintf(os.Stderr, "benchbatch: unknown suite %q (want batch, kernel, zeroone, bigside or fabric)\n", *suite)
 		os.Exit(2)
 	}
 	if err != nil {

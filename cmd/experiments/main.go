@@ -36,13 +36,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runIDs  = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
-		quick   = fs.Bool("quick", false, "reduced sizes and trial counts")
-		seed    = fs.Uint64("seed", 1, "random seed")
-		format  = fs.String("format", "table", "output format: table, markdown, csv")
-		workers = fs.Int("workers", 0, "parallel workers per run (0 = sequential)")
-		trialW  = fs.Int("trialworkers", 0, "trial-level worker pool size for Monte-Carlo sweeps (0 = GOMAXPROCS); results are identical for every value")
-		list    = fs.Bool("list", false, "list experiments and exit")
+		runIDs = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+		quick  = fs.Bool("quick", false, "reduced sizes and trial counts")
+		seed   = fs.Uint64("seed", 1, "random seed")
+		format = fs.String("format", "table", "output format: table, markdown, csv")
+		trialW = fs.Int("trialworkers", 0, "trial-level worker pool size for Monte-Carlo sweeps (0 = GOMAXPROCS); results are identical for every value")
+		list   = fs.Bool("list", false, "list experiments and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -69,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers, TrialWorkers: *trialW}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, TrialWorkers: *trialW}
 	return execute(todo, cfg, *format, stdout, stderr)
 }
 

@@ -29,7 +29,6 @@ func main() {
 		side    = flag.Int("side", 16, "mesh side length √N")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		input   = flag.String("input", "random", "input: random, zero-column, smallest-column, sorted, reversed")
-		workers = flag.Int("workers", 0, "parallel workers (0 = sequential)")
 		show    = flag.Bool("show", false, "print the mesh before and after")
 		doTrace = flag.Bool("trace", false, "trace the smallest element's path")
 		maxStep = flag.Int("maxsteps", 0, "step cap (0 = automatic)")
@@ -38,7 +37,7 @@ func main() {
 	flag.Parse()
 	if err := run(runConfig{
 		alg: *algName, side: *side, seed: *seed, input: *input,
-		workers: *workers, show: *show, trace: *doTrace,
+		show: *show, trace: *doTrace,
 		maxSteps: *maxStep, every: *every,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "mesh2dsort:", err)
@@ -51,7 +50,6 @@ type runConfig struct {
 	alg, input  string
 	side        int
 	seed        uint64
-	workers     int
 	show, trace bool
 	maxSteps    int
 	every       int
@@ -73,7 +71,7 @@ func run(cfg runConfig) error {
 		fmt.Printf("input (%d×%d):\n%s\n", cfg.side, cfg.side, g)
 	}
 
-	opts := core.Options{Workers: cfg.workers, MaxSteps: cfg.maxSteps}
+	opts := core.Options{MaxSteps: cfg.maxSteps}
 	var tracer *trace.PositionTracer
 	if cfg.trace {
 		if g.CountValue(1) != 1 {

@@ -154,9 +154,7 @@ const (
 	KernelAuto        = engine.KernelAuto
 	KernelGeneric     = engine.KernelGeneric
 	KernelSpan        = engine.KernelSpan
-	KernelPacked      = engine.KernelPacked
 	KernelSliced      = engine.KernelSliced
-	KernelThreshold   = engine.KernelThreshold
 	KernelSpanSharded = engine.KernelSpanSharded
 )
 
@@ -179,12 +177,8 @@ func KernelName(k Kernel) string {
 		return "generic"
 	case KernelSpan:
 		return "span"
-	case KernelPacked:
-		return "packed"
 	case KernelSliced:
 		return "sliced"
-	case KernelThreshold:
-		return "threshold"
 	case KernelSpanSharded:
 		return "span-sharded"
 	default:
@@ -202,16 +196,12 @@ func KernelByName(name string) (Kernel, error) {
 		return KernelGeneric, nil
 	case "span":
 		return KernelSpan, nil
-	case "packed":
-		return KernelPacked, nil
 	case "sliced":
 		return KernelSliced, nil
-	case "threshold":
-		return KernelThreshold, nil
 	case "span-sharded":
 		return KernelSpanSharded, nil
 	default:
-		return 0, fmt.Errorf("core: unknown kernel %q (want auto, generic, span, span-sharded, packed, sliced or threshold)", name)
+		return 0, fmt.Errorf("core: unknown kernel %q (want auto, generic, span, span-sharded or sliced)", name)
 	}
 }
 

@@ -106,30 +106,6 @@ func TestMaxStepsTooSmall(t *testing.T) {
 	}
 }
 
-func TestParallelWithObserver(t *testing.T) {
-	// Observers must work with the worker pool (they run at the barrier).
-	g := workload.RandomPermutation(rng.New(6), 8, 8)
-	ref := g.Clone()
-	count := 0
-	resPar, err := Run(g, sched.NewSnakeB(8, 8), Options{
-		Workers:  4,
-		Observer: func(int, *grid.Grid) { count++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count < resPar.Steps {
-		t.Fatalf("observer saw %d < %d steps", count, resPar.Steps)
-	}
-	resSeq, err := Run(ref, sched.NewSnakeB(8, 8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resSeq.Steps != resPar.Steps {
-		t.Fatalf("parallel+observer steps %d != sequential %d", resPar.Steps, resSeq.Steps)
-	}
-}
-
 func TestRowMajorEmbeddedArrayUpperBound(t *testing.T) {
 	// Paper §1: the row-major algorithms contain an N-cell linear array
 	// (rows chained through the wrap-around wires); the row steps perform

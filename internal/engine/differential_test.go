@@ -9,9 +9,9 @@ import (
 
 // The differential executor suite lives in internal/kerneltest now: one
 // shared harness runs every registered executor — reference, sequential,
-// pooled, generic, span, bit-packed, trial-sliced, threshold-sliced —
-// over the full schedule × shape × workload × step-cap matrix and
-// demands bit-identical Results, errors, and final grids. This file
+// generic, span, sharded span, trial-sliced, and the threshold-sliced
+// oracle — over the full schedule × shape × workload × step-cap matrix
+// and demands bit-identical Results, errors, and final grids. This file
 // keeps an engine-local smoke slice of that matrix so a quick
 // `go test ./internal/engine` still cross-checks the kernels it owns.
 func TestDifferentialSmoke(t *testing.T) {

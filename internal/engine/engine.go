@@ -1,13 +1,17 @@
 // Package engine executes comparator schedules on a mesh, step by
 // synchronous step, until the grid reaches its target order.
 //
-// Two executors are provided. The sequential executor applies the
-// comparators of each step in a plain loop. The parallel executor spreads
-// each step's comparators over a persistent pool of worker goroutines —
-// safe because the comparators of one step are pairwise disjoint (a
-// property of every schedule in internal/sched, enforced by tests) — and
-// folds the per-worker swap counts and tracker deltas at the step barrier.
-// Both executors produce bit-identical grids and counters.
+// Run has one general loop and two fast paths. The general loop applies
+// each step's comparators in order and keeps a completion tracker; it
+// serves every run, including observers, injected trackers and
+// duplicate-valued grids such as 0-1 inputs. A permutation trial with
+// neither an observer nor an injected tracker takes the span kernel
+// (span.go), optionally split into row shards behind a phase barrier
+// (shard.go), or — under KernelGeneric, or for a schedule without a span
+// plan — a compare-exchange loop without the tracker's per-swap
+// arithmetic (runDistinctLazy). Every path produces bit-identical grids
+// and counters, which the differential suites in internal/kerneltest
+// prove.
 package engine
 
 import (
@@ -21,9 +25,6 @@ import (
 
 // Options configures a run.
 type Options struct {
-	// Workers selects the parallel executor when > 1; 0 or 1 runs
-	// sequentially.
-	Workers int
 	// MaxSteps caps the run; 0 uses DefaultMaxSteps of the mesh. Hitting
 	// the cap without sorting returns ErrStepLimit in Result.Err.
 	MaxSteps int
@@ -93,12 +94,12 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 		maxSteps = DefaultMaxSteps(r, c)
 	}
 
-	// Monte-Carlo fast path: a permutation trial with no observer, no
-	// injected tracker, and no per-step worker pool runs a pure
-	// compare-exchange loop with settled-window skipping and lazy
-	// completion detection instead of paying the tracker's delta
-	// arithmetic on every swap. The span kernel needs no tracker at all.
-	fast := opts.Workers <= 1 && opts.Observer == nil && opts.Tracker == nil
+	// Monte-Carlo fast path: a permutation trial with no observer and no
+	// injected tracker runs a pure compare-exchange loop with
+	// settled-window skipping and lazy completion detection instead of
+	// paying the tracker's delta arithmetic on every swap. The span kernel
+	// needs no tracker at all.
+	fast := opts.Observer == nil && opts.Tracker == nil
 	if fast && opts.Kernel != KernelGeneric {
 		if minVal, ok := permutationMin(g); ok {
 			if plan := spanPlanFor(s, g); plan != nil {
@@ -120,12 +121,6 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 	if tr.Sorted() && opts.Observer == nil {
 		res.Sorted = true
 		return res, nil
-	}
-
-	var pool *workerPool
-	if opts.Workers > 1 {
-		pool = newWorkerPool(opts.Workers)
-		defer pool.close()
 	}
 
 	// Materialize one full period of comparator slices up front (a no-op
@@ -157,13 +152,7 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 		if pi++; pi == period {
 			pi = 0
 		}
-		var swaps int
-		var delta int
-		if pool != nil {
-			swaps, delta = pool.runStep(g, comps, tr)
-		} else {
-			swaps, delta = runStepSeq(g, comps, tr)
-		}
+		swaps, delta := runStepSeq(g, comps, tr)
 		tr.Apply(delta)
 		res.Swaps += int64(swaps)
 		res.Comparisons += int64(len(comps))
@@ -495,79 +484,4 @@ func runStepZeroOne(g *grid.Grid, comps []sched.Comparator, t *grid.ZeroOneTrack
 		}
 	}
 	return swaps, delta
-}
-
-// workerPool runs step chunks on persistent goroutines. One job per step:
-// the comparator slice is split into near-equal chunks, each worker applies
-// its chunk and reports (swaps, delta); runStep waits on the barrier and
-// folds the partial sums.
-type workerPool struct {
-	workers int
-	start   []chan stepJob
-	done    chan stepOut
-	wg      sync.WaitGroup
-}
-
-type stepJob struct {
-	g     *grid.Grid
-	comps []sched.Comparator
-	tr    grid.Tracker
-}
-
-type stepOut struct {
-	swaps, delta int
-}
-
-func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{
-		workers: workers,
-		start:   make([]chan stepJob, workers),
-		done:    make(chan stepOut, workers),
-	}
-	for i := range p.start {
-		p.start[i] = make(chan stepJob, 1)
-		p.wg.Add(1)
-		go p.worker(p.start[i])
-	}
-	return p
-}
-
-func (p *workerPool) worker(jobs <-chan stepJob) {
-	defer p.wg.Done()
-	for job := range jobs {
-		s, d := runStepSeq(job.g, job.comps, job.tr)
-		p.done <- stepOut{s, d}
-	}
-}
-
-// runStep applies one step in parallel and returns the folded counters.
-func (p *workerPool) runStep(g *grid.Grid, comps []sched.Comparator, tr grid.Tracker) (swaps, delta int) {
-	n := len(comps)
-	chunk := (n + p.workers - 1) / p.workers
-	active := 0
-	for i := 0; i < p.workers; i++ {
-		lo := i * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		p.start[i] <- stepJob{g: g, comps: comps[lo:hi], tr: tr}
-		active++
-	}
-	for i := 0; i < active; i++ {
-		out := <-p.done
-		swaps += out.swaps
-		delta += out.delta
-	}
-	return swaps, delta
-}
-
-func (p *workerPool) close() {
-	for _, ch := range p.start {
-		close(ch)
-	}
-	p.wg.Wait()
 }

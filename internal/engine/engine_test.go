@@ -132,28 +132,6 @@ func TestStepsCountIsExact(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	src := rng.New(6)
-	for _, workers := range []int{2, 3, 4, 8} {
-		for _, s := range schedules(8, 8) {
-			seed := src.Uint64()
-			gSeq := workload.RandomPermutation(rng.New(seed), 8, 8)
-			gPar := gSeq.Clone()
-			resSeq, errSeq := Run(gSeq, s, Options{})
-			resPar, errPar := Run(gPar, s, Options{Workers: workers})
-			if errSeq != nil || errPar != nil {
-				t.Fatalf("%s: errs %v / %v", s.Name(), errSeq, errPar)
-			}
-			if resSeq.Steps != resPar.Steps || resSeq.Swaps != resPar.Swaps || resSeq.Comparisons != resPar.Comparisons {
-				t.Fatalf("%s workers=%d: results differ: %+v vs %+v", s.Name(), workers, resSeq, resPar)
-			}
-			if !gSeq.Equal(gPar) {
-				t.Fatalf("%s workers=%d: grids differ", s.Name(), workers)
-			}
-		}
-	}
-}
-
 func TestObserverSeesEveryStep(t *testing.T) {
 	g := workload.RandomPermutation(rng.New(7), 6, 6)
 	s := sched.NewSnakeA(6, 6)
@@ -340,19 +318,6 @@ func BenchmarkRunSnakeA32Seq(b *testing.B) {
 		g := workload.RandomPermutation(src, 32, 32)
 		b.StartTimer()
 		if _, err := Run(g, s, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRunSnakeA32Par4(b *testing.B) {
-	src := rng.New(1)
-	s := sched.NewSnakeA(32, 32)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := workload.RandomPermutation(src, 32, 32)
-		b.StartTimer()
-		if _, err := Run(g, s, Options{Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,8 +13,9 @@ import (
 // FuzzSortsAnyInput fuzzes the end-to-end sorting contract: any integer
 // grid (duplicates, negatives, adversarial patterns from the fuzzer)
 // must reach target order within DefaultMaxSteps under every schedule,
-// with the value multiset preserved. 0-1 inputs additionally go through
-// the bit-packed kernel, which must agree with the scalar engine exactly.
+// with the value multiset preserved. 0-1 inputs additionally run as one
+// lane of the trial-sliced kernel (zeroone.SortSliced), the production
+// 0-1 executor, whose Result and final grid must equal the scalar run's.
 //
 // Run with: go test -fuzz=FuzzSortsAnyInput ./internal/engine/
 func FuzzSortsAnyInput(f *testing.F) {
@@ -71,22 +72,24 @@ func FuzzSortsAnyInput(f *testing.F) {
 			t.Fatalf("%s %dx%d: %d steps exceeds DefaultMaxSteps", name, r, c, res.Steps)
 		}
 
-		// 0-1 inputs: the packed kernel must agree bit for bit.
+		// 0-1 inputs: one lane of the trial-sliced kernel must agree bit
+		// for bit.
 		if zeroOne {
-			ps, err := zeroone.CachedPacked(name, r, c)
+			ss, err := zeroone.CachedSliced(name, r, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gp := input.Clone()
-			resP, err := zeroone.SortPacked(gp, ps, 0)
-			if err != nil {
-				t.Fatalf("packed %s %dx%d: %v", name, r, c, err)
+			ts := zeroone.NewTrialSlice(r, c)
+			ts.AddGrid(input)
+			results, errs, err := zeroone.SortSliced(ts, ss, 0)
+			if err != nil || errs != nil {
+				t.Fatalf("sliced %s %dx%d: %v %v", name, r, c, err, errs)
 			}
-			if resP != res {
-				t.Fatalf("packed result %+v != scalar %+v", resP, res)
+			if results[0] != res {
+				t.Fatalf("sliced lane result %+v != scalar %+v", results[0], res)
 			}
-			if !gp.Equal(g) {
-				t.Fatalf("packed final grid differs from scalar")
+			if !ts.Extract(0).Equal(g) {
+				t.Fatalf("sliced lane final grid differs from scalar")
 			}
 		}
 	})

@@ -315,10 +315,19 @@ func (p *ShardPool) resetCursors(sharded *shardedPlan) {
 	}
 }
 
+// ClampShards bounds a requested shard count by what an R-row mesh can
+// use: at most one shard per row, at most maxShards, and at least one.
+// Run clamps every sharded request with it, so a caller that reports the
+// shard count (mcbatch's Batch.Shards) clamps with it too and reports
+// what actually runs.
+func ClampShards(shards, rows int) int {
+	return max(1, min(shards, rows, maxShards))
+}
+
 // resolveShards turns the run's hints into an effective shard count: an
 // explicit Options.Shards is honored, otherwise AutoShards decides with
 // the pool's capacity (or GOMAXPROCS) as the budget; either way the
-// count is clamped to the row count, the pool capacity, and maxShards.
+// count is clamped to the pool capacity and by ClampShards.
 func resolveShards(opts Options, rows, cols int) int {
 	shards := opts.Shards
 	if shards <= 0 {
@@ -328,19 +337,10 @@ func resolveShards(opts Options, rows, cols int) int {
 		}
 		shards = AutoShards(rows, cols, budget)
 	}
-	if shards > rows {
-		shards = rows
+	if opts.ShardPool != nil {
+		shards = min(shards, opts.ShardPool.shards)
 	}
-	if opts.ShardPool != nil && shards > opts.ShardPool.shards {
-		shards = opts.ShardPool.shards
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
+	return ClampShards(shards, rows)
 }
 
 // runDistinctSpansSharded is the sharded span kernel. Structure and

@@ -10,11 +10,12 @@ import (
 )
 
 // Kernel selects which executor family Run uses on its Monte-Carlo fast
-// path (permutation trial, no observer, no injected tracker, no worker
-// pool). The kernels are proven bit-identical — same final grid, Steps,
-// Swaps, and Comparisons — by the differential suites; the knob exists so
+// path (permutation trial, no observer, no injected tracker). The
+// kernels are proven bit-identical — same final grid, Steps, Swaps, and
+// Comparisons — by the differential suites; the knob exists so
 // benchmarks can hold one fixed and callers can pin a path if they ever
-// need to.
+// need to. Kernels travel by name (KernelName in internal/core), never
+// by value, so the numbering is free to change.
 type Kernel int
 
 const (
@@ -30,23 +31,10 @@ const (
 	// whose schedule has no span plan silently fall back to the generic
 	// path, so the option is a hint, never an error.
 	KernelSpan
-	// KernelPacked requests the cell-packed 0-1 kernel (64 cells of one
-	// trial per word). Only mcbatch's ZeroOne batches honor it; the engine
-	// itself treats it like KernelAuto, keeping the hint-never-error
-	// semantics for runs the packed kernel cannot serve.
-	KernelPacked
 	// KernelSliced requests the trial-sliced 0-1 kernel (64 trials of one
-	// cell per word), mcbatch's default for ZeroOne batches. Like
-	// KernelPacked it is a batch-level hint: the engine treats it as
-	// KernelAuto.
+	// cell per word), mcbatch's default for ZeroOne batches. It is a
+	// batch-level hint: the engine itself treats it as KernelAuto.
 	KernelSliced
-	// KernelThreshold requests the threshold-sliced permutation kernel
-	// (zeroone.SortThresholds): every 0-1 threshold projection of a
-	// permutation trial runs through the trial-sliced machinery, 64
-	// projections per word, and the permutation's Result is reassembled
-	// from the slices. Only mcbatch's permutation batches honor it; the
-	// engine itself treats it like KernelAuto.
-	KernelThreshold
 	// KernelSpanSharded requests the sharded span executor: the span
 	// kernel's phases partitioned into contiguous row blocks executed
 	// shard-parallel on a persistent pool with a phase barrier (see

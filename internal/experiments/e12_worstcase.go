@@ -31,7 +31,7 @@ func runE12(cfg Config) (*Outcome, error) {
 		envelope := 2*cells + 4*side // §1: the embedded linear array caps the worst case at ~2N
 		for _, alg := range []core.Algorithm{core.RowMajorRowFirst, core.RowMajorColFirst} {
 			g := workload.AllZeroColumn(side, side, 0)
-			res, err := core.Sort(g, alg, core.Options{Workers: cfg.Workers})
+			res, err := core.Sort(g, alg, core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -51,7 +51,7 @@ func runE12(cfg Config) (*Outcome, error) {
 	for _, side := range sides {
 		for _, alg := range []core.Algorithm{core.RowMajorRowFirst, core.RowMajorColFirst} {
 			g := workload.SmallestInColumn(side, side, 0)
-			res, err := core.Sort(g, alg, core.Options{Workers: cfg.Workers})
+			res, err := core.Sort(g, alg, core.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -25,14 +25,9 @@ type Config struct {
 	// Quick shrinks mesh sizes and trial counts so the whole suite runs in
 	// seconds (used by tests and -quick).
 	Quick bool
-	// Workers is passed to the engine for the experiments that run single
-	// long sorts (0/1 = sequential). Trial sweeps additionally parallelize
-	// across the mcbatch worker pool with per-trial RNG streams, so
-	// results are identical regardless of parallelism.
-	Workers int
 	// TrialWorkers sizes the mcbatch trial-level worker pool (0 uses
-	// GOMAXPROCS). Any value produces identical results; it only changes
-	// wall-clock time.
+	// GOMAXPROCS). Trials derive per-trial RNG streams, so any value
+	// produces identical results; it only changes wall-clock time.
 	TrialWorkers int
 }
 

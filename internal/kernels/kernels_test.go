@@ -12,8 +12,8 @@ import (
 )
 
 func TestRegistryShape(t *testing.T) {
-	if len(All()) != 6 {
-		t.Fatalf("registry has %d entries, want 6", len(All()))
+	if len(All()) != 4 {
+		t.Fatalf("registry has %d entries, want 4", len(All()))
 	}
 	for _, e := range All() {
 		if e.Name != core.KernelName(e.ID) {
@@ -38,11 +38,8 @@ func TestRegistryShape(t *testing.T) {
 		{core.KernelSpan, ZeroOne, false},
 		{core.KernelSpanSharded, Permutation, true},
 		{core.KernelSpanSharded, ZeroOne, false},
-		{core.KernelThreshold, Permutation, true},
-		{core.KernelThreshold, ZeroOne, false},
 		{core.KernelSliced, ZeroOne, true},
 		{core.KernelSliced, Permutation, false},
-		{core.KernelPacked, ZeroOne, true},
 		{core.KernelGeneric, Permutation, true},
 		{core.KernelGeneric, ZeroOne, true},
 		{core.KernelAuto, Permutation, false},
@@ -52,7 +49,7 @@ func TestRegistryShape(t *testing.T) {
 		}
 	}
 	order := Eligible(Permutation)
-	if len(order) != 4 || order[0].ID != core.KernelSpanSharded || order[1].ID != core.KernelSpan || order[3].ID != core.KernelThreshold {
+	if len(order) != 3 || order[0].ID != core.KernelSpanSharded || order[1].ID != core.KernelSpan || order[2].ID != core.KernelGeneric {
 		t.Fatalf("permutation eligibility order wrong: %+v", order)
 	}
 }
@@ -96,12 +93,12 @@ func TestTunerGoldenTable(t *testing.T) {
 	permKey := Key{Algorithm: "snake-a", Rows: 32, Cols: 32, Class: Permutation}
 	zoKey := Key{Algorithm: "snake-a", Rows: 32, Cols: 32, Class: ZeroOne}
 	if k, err := tu.Calibrate(permKey, fakeProbe(map[string]float64{
-		"span": 350000, "generic": 2800000, "threshold": 21000000,
+		"span": 350000, "generic": 2800000,
 	})); err != nil || k != core.KernelSpan {
 		t.Fatalf("permutation calibration = %v, %v", k, err)
 	}
 	if k, err := tu.Calibrate(zoKey, fakeProbe(map[string]float64{
-		"sliced": 25000, "packed": 90000, "generic": 400000,
+		"sliced": 25000, "generic": 400000,
 	})); err != nil || k != core.KernelSliced {
 		t.Fatalf("zeroone calibration = %v, %v", k, err)
 	}
@@ -137,7 +134,7 @@ func TestTableBeatsPriors(t *testing.T) {
 	tu := NewTuner("")
 	key := Key{Algorithm: "rm-rf", Rows: 8, Cols: 8, Class: Permutation}
 	if k, err := tu.Calibrate(key, fakeProbe(map[string]float64{
-		"span": 900, "generic": 100, "threshold": 5000,
+		"span": 900, "generic": 100,
 	})); err != nil || k != core.KernelGeneric {
 		t.Fatalf("calibration = %v, %v", k, err)
 	}
@@ -150,29 +147,57 @@ func TestTableBeatsPriors(t *testing.T) {
 	}
 }
 
-// TestEnvKernelOverride pins the CI determinism knob: MESHSORT_KERNEL
+// TestEnvKernelOverride pins the determinism knob: MESHSORT_KERNEL
 // forces auto-resolved batches to one kernel, is ignored when it does not
-// serve the class or names nonsense, and never beats an explicit hint.
+// serve the class or names nonsense or a retired kernel, and never beats
+// an explicit hint.
 func TestEnvKernelOverride(t *testing.T) {
 	tu := NewTuner("")
 	permKey := Key{Algorithm: "snake-b", Rows: 6, Cols: 6, Class: Permutation}
 
-	t.Setenv(EnvKernel, "threshold")
-	if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelThreshold {
-		t.Fatalf("override resolve = %v, want threshold", k)
+	t.Setenv(EnvKernel, "generic")
+	if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelGeneric {
+		t.Fatalf("override resolve = %v, want generic", k)
 	}
-	if k := tu.Resolve(core.KernelGeneric, permKey, nil); k != core.KernelGeneric {
-		t.Fatalf("hint under override = %v, want generic", k)
-	}
-
-	t.Setenv(EnvKernel, "sliced") // does not serve permutations: ignored
-	if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelSpan {
-		t.Fatalf("class-mismatched override resolve = %v, want span fallback", k)
+	if k := tu.Resolve(core.KernelSpan, permKey, nil); k != core.KernelSpan {
+		t.Fatalf("hint under override = %v, want span", k)
 	}
 
-	t.Setenv(EnvKernel, "warp-drive") // unknown: ignored
-	if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelSpan {
-		t.Fatalf("unknown override resolve = %v, want span fallback", k)
+	// Ignored: a kernel of the other class (sliced), nonsense, and the
+	// retired cell-packed and threshold-sliced kernels.
+	for _, name := range []string{"sliced", "warp-drive", "packed", "threshold"} {
+		t.Setenv(EnvKernel, name)
+		if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelSpan {
+			t.Fatalf("override %q resolve = %v, want span fallback", name, k)
+		}
+	}
+	t.Setenv(EnvKernel, "packed")
+	zoKey := Key{Algorithm: "snake-b", Rows: 6, Cols: 6, Class: ZeroOne}
+	if k := tu.Resolve(core.KernelAuto, zoKey, nil); k != core.KernelSliced {
+		t.Fatalf("override packed on a 0-1 batch = %v, want sliced fallback", k)
+	}
+}
+
+// retiredTable is a persisted calibration table whose choices name the
+// retired cell-packed and threshold-sliced kernels.
+const retiredTable = `{"version": 1, "entries": {
+  "snake-a/32x32/permutation": {"kernel": "threshold"},
+  "snake-a/32x32/zeroone": {"kernel": "packed"}}}`
+
+// TestTunerTableRetiredKernelFallsThrough pins that a persisted choice
+// naming a retired kernel is treated like any unknown name: the batch
+// gets the static default of its class.
+func TestTunerTableRetiredKernelFallsThrough(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "retired.json")
+	if err := os.WriteFile(path, []byte(retiredTable), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tu := NewTuner(path)
+	for class, want := range map[Class]core.Kernel{Permutation: core.KernelSpan, ZeroOne: core.KernelSliced} {
+		key := Key{Algorithm: "snake-a", Rows: 32, Cols: 32, Class: class}
+		if k := tu.Resolve(core.KernelAuto, key, nil); k != want {
+			t.Errorf("%s: resolve = %v, want %v", key, core.KernelName(k), core.KernelName(want))
+		}
 	}
 }
 
@@ -208,4 +233,33 @@ func TestTunerDiscardsStaleTable(t *testing.T) {
 	if got := len(tu.Table().Entries); got != 0 {
 		t.Fatalf("stale table loaded %d entries", got)
 	}
+}
+
+// FuzzTunerTable feeds arbitrary bytes to the calibration table loader:
+// NewTuner must never panic, and auto-resolution against whatever it
+// loaded must still return a kernel serving the batch's class.
+func FuzzTunerTable(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "tuner_table.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(retiredTable))
+	f.Add([]byte(`{"version": 99, "entries": {"snake-a/32x32/permutation": {"kernel": "generic"}}}`))
+	f.Add(golden[:len(golden)/2])
+	f.Setenv(EnvKernel, "")
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "tuner.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tu := NewTuner(path)
+		for _, class := range []Class{Permutation, ZeroOne} {
+			key := Key{Algorithm: "snake-a", Rows: 32, Cols: 32, Class: class}
+			if k := tu.Resolve(core.KernelAuto, key, nil); !Supports(k, class) {
+				t.Fatalf("%s: resolved %s, which does not serve the class", key, core.KernelName(k))
+			}
+		}
+	})
 }

@@ -80,12 +80,8 @@ var registry = []Entry{
 		"split-parity span plans; one SWAR sweep of unit-stride runs, four 16-bit or two 32-bit cells per word", nil},
 	{core.KernelSliced, "sliced", []Class{ZeroOne}, 10,
 		"trial-sliced 0-1 kernel; 64 trials in lockstep, one bit lane each", nil},
-	{core.KernelPacked, "packed", []Class{ZeroOne}, 50,
-		"cell-packed 0-1 kernel; 64 cells of one trial per word", nil},
 	{core.KernelGeneric, "generic", []Class{Permutation, ZeroOne}, 90,
 		"scalar cellwise engine; the reference every kernel is proven against", nil},
-	{core.KernelThreshold, "threshold", []Class{Permutation}, 200,
-		"threshold-sliced permutation kernel via the 0-1 principle; exact but Θ(N/64)x the span work — the verification executor", nil},
 }
 
 // spanShardedGate admits the sharded span executor only when the mesh ×

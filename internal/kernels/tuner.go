@@ -10,12 +10,12 @@ import (
 	"repro/internal/core"
 )
 
-// Environment knobs. CI and benchmarks pin behavior with these; neither
-// can change results — only which bit-identical executor runs.
+// Environment knobs. Operators and benchmarks pin behavior with these;
+// none can change results — only which bit-identical executor runs.
 const (
 	// EnvKernel forces the auto-resolved kernel for every batch whose
-	// caller did not pin one explicitly (hints win over the env). CI sets
-	// it so noisy timings never flip the executor between runs. An
+	// caller did not pin one explicitly (hints win over the env), so a
+	// run can hold one executor fixed whatever the calibration says. An
 	// unknown name, or a kernel that does not serve the batch's class,
 	// is ignored.
 	EnvKernel = "MESHSORT_KERNEL"

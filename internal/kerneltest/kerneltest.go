@@ -4,7 +4,9 @@
 // test suites; those suites now call into this one source of truth, so a
 // new kernel gets the full matrix — schedules × shapes (odd, rectangular,
 // single row/column, >64 cells) × workloads × step caps × worker counts —
-// by being registered, not by copying a loop.
+// by being registered, not by copying a loop. Besides the production
+// executors it runs the threshold-sliced 0-1-principle oracle
+// (zeroone.SortThresholds), which no batch path serves.
 //
 // Equality is strict everywhere: engine.Result structs, final grids, and
 // errors including the exact ErrStepLimit fields. The baseline is an
@@ -38,8 +40,6 @@ type Inputs int
 const (
 	// AnyInput executors accept every integer grid.
 	AnyInput Inputs = iota
-	// ZeroOneInput executors require grids of 0s and 1s.
-	ZeroOneInput
 	// PermutationInput executors require each value 1..N exactly once.
 	PermutationInput
 )
@@ -52,11 +52,11 @@ type Executor struct {
 }
 
 // Executors returns every per-grid executor of the repository: the
-// engine's sequential, pooled, generic, span, and sharded-span paths
-// plus the 0-1 cell-packed kernel and the threshold-sliced permutation
-// kernel. The sharded span executor appears twice (2 and 3 shards) so
-// the matrix covers both even and uneven row splits; shapes with fewer
-// rows than shards exercise its clamp-to-serial path. The trial-sliced
+// engine's sequential, generic, span, and sharded-span paths plus the
+// threshold-sliced permutation oracle. The sharded span executor appears
+// twice (2 and 3 shards) so the matrix covers both even and uneven row
+// splits; shapes with fewer rows than shards exercise its clamp-to-serial
+// path. The trial-sliced
 // lockstep kernel runs batches, not single grids; Compare adds it by
 // packing all eligible cases of a call into shared slices.
 func Executors() []Executor {
@@ -79,24 +79,16 @@ func Executors() []Executor {
 			return engine.Run(g, s, engine.Options{MaxSteps: maxSteps})
 		}},
 		{Name: "sequential", Run: engineOpts(engine.Options{})},
-		{Name: "worker-pool", Run: engineOpts(engine.Options{Workers: 4})},
 		{Name: "generic-kernel", Run: engineOpts(engine.Options{Kernel: engine.KernelGeneric})},
 		{Name: "span-kernel", Run: engineOpts(engine.Options{Kernel: engine.KernelSpan})},
 		{Name: "span-sharded-2", Run: engineOpts(engine.Options{Kernel: engine.KernelSpanSharded, Shards: 2})},
 		{Name: "span-sharded-3", Run: engineOpts(engine.Options{Kernel: engine.KernelSpanSharded, Shards: 3})},
-		{Name: "bit-packed", Needs: ZeroOneInput, Run: func(g *grid.Grid, algName string, maxSteps int) (engine.Result, error) {
-			ps, err := zeroone.CachedPacked(algName, g.Rows(), g.Cols())
-			if err != nil {
-				return engine.Result{}, err
-			}
-			return zeroone.SortPacked(g, ps, maxSteps)
-		}},
 		{Name: "threshold-sliced", Needs: PermutationInput, Run: func(g *grid.Grid, algName string, maxSteps int) (engine.Result, error) {
 			ss, err := zeroone.CachedSliced(algName, g.Rows(), g.Cols())
 			if err != nil {
 				return engine.Result{}, err
 			}
-			return zeroone.SortThresholds(g, ss, maxSteps, nil)
+			return zeroone.SortThresholds(g, ss, maxSteps)
 		}},
 	}
 }
@@ -157,8 +149,8 @@ func Workloads(src rng.Source, rows, cols int) []Case {
 
 // Shapes returns the canonical shape matrix for a schedule: square even
 // and odd sides, rectangles, single row/column meshes, and meshes beyond
-// 64 cells (multi-chunk for the threshold kernel, multi-word for the
-// packed one). The row-major wrap schedules require even columns, so the
+// 64 cells (multi-chunk for the threshold oracle, multi-block for the
+// sliced kernel). The row-major wrap schedules require even columns, so the
 // odd-column shapes are reserved for the snake family and shearsort.
 func Shapes(algName string) [][2]int {
 	shapes := [][2]int{
@@ -193,14 +185,7 @@ func IsPermutation(g *grid.Grid) bool {
 }
 
 func (in Inputs) accepts(g *grid.Grid) bool {
-	switch in {
-	case ZeroOneInput:
-		return IsZeroOne(g)
-	case PermutationInput:
-		return IsPermutation(g)
-	default:
-		return true
-	}
+	return in != PermutationInput || IsPermutation(g)
 }
 
 // outcome is one executor's observation on one case.

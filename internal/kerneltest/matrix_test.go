@@ -115,10 +115,11 @@ func TestBatchStepLimitErrors(t *testing.T) {
 	}
 }
 
-// TestBatchThresholdFallsBackOnDuplicates pins the threshold hint's
-// never-error contract: a custom Gen producing non-permutations must
-// still yield batches identical to every other kernel (the threshold
-// runner falls back per trial).
+// TestBatchThresholdFallsBackOnDuplicates pins the permutation hints'
+// never-error contract on grids the threshold oracle rejects: a custom
+// Gen producing non-permutations must still yield identical batches
+// under every kernel hint (the span hints fall back to the generic path
+// per trial).
 func TestBatchThresholdFallsBackOnDuplicates(t *testing.T) {
 	spec := mcbatch.Spec{
 		Algorithm: core.SnakeA, Rows: 6, Cols: 6, Trials: 16, Seed: 11,
@@ -129,13 +130,14 @@ func TestBatchThresholdFallsBackOnDuplicates(t *testing.T) {
 	if b := kerneltest.CompareBatches(t, spec, []int{1, 4}); b == nil {
 		t.Fatal("duplicate-valued batch failed")
 	}
-	// The fallback really does engage: threshold rejects these grids.
+	// These grids really are outside the permutation class: the threshold
+	// oracle rejects them.
 	g := workload.FewDistinct(rng.New(3), 6, 6, 4)
 	ss, err := zeroone.CachedSliced("snake-a", 6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := zeroone.SortThresholds(g, ss, 0, nil); !errors.Is(err, zeroone.ErrNotPermutation) {
+	if _, err := zeroone.SortThresholds(g, ss, 0); !errors.Is(err, zeroone.ErrNotPermutation) {
 		t.Fatalf("SortThresholds on duplicates = %v, want ErrNotPermutation", err)
 	}
 }

@@ -31,7 +31,7 @@ var gridValueReaders = map[string]bool{
 // are oblivious, so outside explicitly whitelisted compare-exchange and
 // measurement primitives, no if/for/switch condition may depend on grid
 // cell values. This is what justifies the compiled-schedule cache, the
-// bit-packed 0-1 kernel, and every 0-1-principle argument: the comparator
+// trial-sliced 0-1 kernel, and every 0-1-principle argument: the comparator
 // sequence is a function of (step, mesh shape) alone. It is also what
 // makes the span kernel sound: the engine's span plan may compile a step
 // once into unit-stride runs precisely because the comparator set never

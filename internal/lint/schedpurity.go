@@ -7,7 +7,7 @@ import (
 )
 
 // SchedPurity keeps compiled schedules safely shareable. sched.Cached and
-// zeroone.CachedPacked hand one schedule object to every concurrent
+// zeroone.CachedSliced hand one schedule object to every concurrent
 // Monte-Carlo trial, relying on two properties:
 //
 //   - Step and Phases methods are pure reads: they never write receiver
@@ -21,8 +21,9 @@ import (
 //     through a synchronized container (sync.Map), not a bare global.
 //
 // A memoizing Step ("cache the last comparator slice in a field") would
-// pass every single-goroutine test and corrupt results only under the
-// worker pool — exactly the regression this analyzer makes impossible.
+// pass every single-goroutine test and corrupt results only under
+// mcbatch's concurrent trial workers — exactly the regression this
+// analyzer makes impossible.
 //
 // internal/serve is covered for the constructor half of the contract:
 // NewServer (and any future New*/Compile*/Cached* helper there) is called

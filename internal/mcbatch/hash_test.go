@@ -38,7 +38,7 @@ func TestHashCanonicalization(t *testing.T) {
 		}
 	})
 	t.Run("kernel-insensitive", func(t *testing.T) {
-		for _, k := range []core.Kernel{core.KernelAuto, core.KernelGeneric, core.KernelSpan, core.KernelPacked, core.KernelSliced} {
+		for _, k := range []core.Kernel{core.KernelAuto, core.KernelGeneric, core.KernelSpan, core.KernelSpanSharded, core.KernelSliced} {
 			s := base
 			s.Kernel = k
 			if got := mustHash(t, s); got != want {
@@ -49,11 +49,11 @@ func TestHashCanonicalization(t *testing.T) {
 	t.Run("zeroone-kernel-insensitive", func(t *testing.T) {
 		// The 0-1 kernel families must also share one cache entry: a
 		// meshsortd job asking for the sliced kernel and one asking for the
-		// packed kernel are the same content-addressed batch.
+		// generic engine are the same content-addressed batch.
 		zo := base
 		zo.ZeroOne = true
 		zoWant := mustHash(t, zo)
-		for _, k := range []core.Kernel{core.KernelGeneric, core.KernelSpan, core.KernelPacked, core.KernelSliced} {
+		for _, k := range []core.Kernel{core.KernelGeneric, core.KernelSpan, core.KernelSliced} {
 			s := zo
 			s.Kernel = k
 			if got := mustHash(t, s); got != zoWant {

@@ -1,6 +1,7 @@
 package mcbatch_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 )
 
 // The per-kernel agreement loops that used to accrete here — span vs
-// generic, packed vs sliced vs generic, a worker-count sweep per kernel
-// family — are one harness now: kerneltest.CompareBatches crosses every
+// generic, sliced vs generic, a worker-count sweep per kernel family —
+// are one harness now: kerneltest.CompareBatches crosses every
 // kernel hint registered for the batch's class with worker counts and
 // requires byte-identical reports. This file is in the external test
 // package because kerneltest imports mcbatch.
@@ -19,7 +20,7 @@ import (
 // Trial counts straddle the 64-trial block size (ragged lockstep tails,
 // multiple blocks in flight under Workers=8), and the 9×8 mesh keeps
 // the row-major schedules' even-column constraint while exceeding 64
-// cells (multi-chunk threshold, multi-word packing).
+// cells (one 64-cell block boundary of the sliced kernel).
 func TestKernelWorkerMatrix(t *testing.T) {
 	for _, zeroOne := range []bool{false, true} {
 		for _, alg := range []core.Algorithm{core.SnakeA, core.RowMajorRowFirst, core.Shearsort} {
@@ -50,6 +51,35 @@ func TestKernelWorkerMatrixStepLimit(t *testing.T) {
 		}
 		if b := kerneltest.CompareBatches(t, spec, []int{1, 8}); b != nil {
 			t.Fatalf("zeroone=%v: MaxSteps=2 batch unexpectedly sorted", zeroOne)
+		}
+	}
+}
+
+// TestPinnedShardsReportWhatRuns pins the reporting of a pinned shard
+// count: the Batch carries the count the engine runs after clamping it
+// to the row count and the 64-shard cap, and a count that clamps to one
+// shard reports the serial span kernel that runs instead.
+func TestPinnedShardsReportWhatRuns(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols, shards int
+		kernel             core.Kernel
+		want               int
+	}{
+		{2, 64, 8, core.KernelSpanSharded, 2},
+		{1, 64, 2, core.KernelSpan, 1},
+		{200, 4, 100, core.KernelSpanSharded, 64},
+	} {
+		spec := mcbatch.Spec{
+			Algorithm: core.SnakeA, Rows: tc.rows, Cols: tc.cols, Trials: 3, Seed: 1,
+			Kernel: core.KernelSpanSharded, Shards: tc.shards,
+		}
+		b, err := mcbatch.RunCtx(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%dx%d shards=%d: %v", tc.rows, tc.cols, tc.shards, err)
+		}
+		if b.Kernel != tc.kernel || b.Shards != tc.want {
+			t.Errorf("%dx%d shards=%d: reported %s/%d, want %s/%d", tc.rows, tc.cols, tc.shards,
+				core.KernelName(b.Kernel), b.Shards, core.KernelName(tc.kernel), tc.want)
 		}
 	}
 }

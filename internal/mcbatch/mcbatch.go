@@ -31,7 +31,6 @@ package mcbatch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -166,15 +165,16 @@ type Spec struct {
 	// permutation batches and the trial-sliced kernel for ZeroOne batches
 	// unless a calibration or $MESHSORT_KERNEL says otherwise. A hint
 	// naming a kernel of the batch's class (permutation: generic, span,
-	// threshold; ZeroOne: generic, packed, sliced) pins that executor;
-	// a hint from the other class is treated as Auto, so the option is
-	// never an error.
+	// span-sharded; ZeroOne: generic, sliced) pins that executor; a hint
+	// from the other class is treated as Auto, so the option is never an
+	// error.
 	Kernel core.Kernel
 	// Shards is the intra-trial row-shard count for the sharded span
 	// executor; it matters only when that kernel runs. 0 resolves
 	// automatically under the two-level budget (see splitParallelism):
 	// trial workers × shards ≤ GOMAXPROCS. An explicit positive value
-	// pins the count (like Kernel, a pinned hint is honored exactly).
+	// pins the count, clamped like every sharded run by
+	// engine.ClampShards (at most one shard per row, at most 64).
 	// Another execution hint that can never change results — it is
 	// excluded from Spec.Hash like Workers and Kernel.
 	Shards int
@@ -323,8 +323,9 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 // without any barrier cost — so auto-sharding only takes the procs the
 // trial pool leaves idle, which happens exactly in the big-mesh,
 // few-trials regime the sharded kernel exists for. An explicit
-// Spec.Shards pins the inner level like a kernel hint (the engine still
-// clamps it to the row count). No split can change results: every
+// Spec.Shards pins the inner level like a kernel hint, clamped by the
+// same engine.ClampShards the engine applies, so the Batch reports the
+// count that runs. No split can change results: every
 // (workers, shards) pair is proven bit-identical by the differential
 // suites, so the budget is pure scheduling policy.
 func splitParallelism(spec Spec) (workers, shards int) {
@@ -336,8 +337,8 @@ func splitParallelism(spec Spec) (workers, shards int) {
 	if spec.Trials > 0 && workers > spec.Trials {
 		workers = spec.Trials
 	}
-	if shards = spec.Shards; shards > 0 {
-		return workers, shards
+	if spec.Shards > 0 {
+		return workers, engine.ClampShards(spec.Shards, spec.Rows)
 	}
 	budget := procs / workers
 	if budget < 1 {
@@ -359,11 +360,9 @@ var runners = map[kernels.Class]map[core.Kernel]runner{
 		core.KernelSpan:        runEngine(core.KernelSpan),
 		core.KernelSpanSharded: runSpanSharded,
 		core.KernelGeneric:     runEngine(core.KernelGeneric),
-		core.KernelThreshold:   runThreshold,
 	},
 	kernels.ZeroOne: {
 		core.KernelSliced:  runSliced,
-		core.KernelPacked:  runPacked,
 		core.KernelGeneric: runEngine(core.KernelGeneric),
 	},
 }
@@ -461,66 +460,6 @@ func runSpanSharded(ctx context.Context, spec Spec, seed uint64, stream func(int
 			return Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}, nil
 		},
 		func(st *shardScratch) { st.pool.Close() })
-}
-
-// runPacked adapts the cell-packed 0-1 kernel as a per-trial runner.
-func runPacked(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error) {
-	packed, err := zeroone.CachedPacked(spec.Algorithm.ShortName(), spec.Rows, spec.Cols)
-	if err != nil {
-		return nil, err
-	}
-	return runPerTrial(ctx, spec, seed, stream, makeInput,
-		func(g *grid.Grid) (engine.Result, error) {
-			return zeroone.SortPacked(g, packed, spec.MaxSteps)
-		})
-}
-
-// thresholdScratch is one worker's reusable state for the
-// threshold-sliced permutation kernel.
-type thresholdScratch struct {
-	sc  *zeroone.ThresholdScratch
-	buf *grid.Grid
-}
-
-// runThreshold executes a permutation batch through the threshold-sliced
-// kernel: each trial's 0-1 threshold projections run in lockstep, 64 per
-// word, and the trial's Result is reassembled from the slices. A custom
-// Gen may produce non-permutation grids the decomposition cannot serve;
-// those trials fall back to the scalar engine, keeping the kernel hint's
-// never-an-error contract.
-func runThreshold(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error) {
-	name := spec.Algorithm.ShortName()
-	ss, err := zeroone.CachedSliced(name, spec.Rows, spec.Cols)
-	if err != nil {
-		return nil, err
-	}
-	// Warm the scalar schedule cache too: the fallback path may need it.
-	spec.Algorithm.Schedule(spec.Rows, spec.Cols)
-	return mapWorkers(ctx, spec.Workers, spec.Trials,
-		func() *thresholdScratch {
-			return &thresholdScratch{
-				sc:  zeroone.NewThresholdScratch(spec.Rows, spec.Cols),
-				buf: grid.New(spec.Rows, spec.Cols),
-			}
-		},
-		func(st *thresholdScratch, i int) (Trial, error) {
-			src := rng.NewStream(seed, stream(i))
-			g, err := makeInput(src, st.buf, i)
-			if err != nil {
-				return Trial{}, err
-			}
-			res, err := zeroone.SortThresholds(g, ss, spec.MaxSteps, st.sc)
-			if errors.Is(err, zeroone.ErrNotPermutation) {
-				res, err = core.Sort(g, spec.Algorithm, core.Options{MaxSteps: spec.MaxSteps})
-			}
-			if err != nil {
-				return Trial{}, fmt.Errorf("%s %dx%d trial %d: %w", name, spec.Rows, spec.Cols, i, err)
-			}
-			return Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}, nil
-		},
-		nil)
 }
 
 // runPerTrial executes one trial per grid through sort, with a per-worker

@@ -5,11 +5,11 @@ import (
 )
 
 // FuzzScheduleDisjoint fuzzes the disjointness invariant every executor
-// depends on (the worker pool and the bit-packed kernel both apply a
-// step's comparators simultaneously): over a full period of any schedule
-// on any mesh, no cell may appear in two comparators of the same step,
-// every index must be in range, and no comparator may compare a cell with
-// itself.
+// depends on (the sharded span executor applies a step's comparators in
+// parallel, the span and trial-sliced kernels in memory order): over a
+// full period of any schedule on any mesh, no cell may appear in two
+// comparators of the same step, every index must be in range, and no
+// comparator may compare a cell with itself.
 //
 // Run with: go test -fuzz=FuzzScheduleDisjoint ./internal/sched/
 func FuzzScheduleDisjoint(f *testing.F) {

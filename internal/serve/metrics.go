@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fabric"
+	"repro/internal/kernels"
 	"repro/internal/store"
 )
 
@@ -55,20 +56,28 @@ type metrics struct {
 }
 
 // kernelLabels is the fixed render order of the by-kernel job counter:
-// every concrete kernel family the batch runner can report, in registry
-// order, plus "fabric" for jobs fanned out across the peer fleet (no
-// single family describes those). A fixed array (not a map) keeps the
-// scrape deterministic and the observe path lock-free.
-var kernelLabels = [...]string{
-	"span-sharded", "span", "sliced", "packed", "generic", "threshold",
-	fabricKernelLabel,
-}
+// every registered kernel family, in registry order, plus "fabric" for
+// jobs fanned out across the peer fleet (no single family describes
+// those). Built once from the registry, so the series cannot drift from
+// it; a fixed slice (not a map) keeps the scrape deterministic and the
+// observe path lock-free.
+var kernelLabels = func() []string {
+	var labels []string
+	for _, e := range kernels.All() {
+		labels = append(labels, e.Name)
+	}
+	return append(labels, fabricKernelLabel)
+}()
 
 // kernelCounters counts completed jobs by effective kernel; the extra
 // slot collects names outside kernelLabels (a registry drift guard, not
 // an expected path).
 type kernelCounters struct {
-	counts [len(kernelLabels) + 1]atomic.Int64
+	counts []atomic.Int64
+}
+
+func newKernelCounters() kernelCounters {
+	return kernelCounters{counts: make([]atomic.Int64, len(kernelLabels)+1)}
 }
 
 func (k *kernelCounters) observe(name string) {

@@ -192,6 +192,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		log:        cfg.Logger,
+		metrics:    metrics{jobsByKernel: newKernelCounters()},
 		cache:      newResultCache(cfg.CacheEntries),
 		shardCache: newResultCache(cfg.CacheEntries),
 		fabricSem:  make(chan struct{}, cfg.Concurrency),

@@ -329,7 +329,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestZeroOneJob runs a bit-packed 0-1 batch through the API.
+// TestZeroOneJob runs a trial-sliced 0-1 batch through the API.
 func TestZeroOneJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, buf := postJSON(t, ts.URL+"/v1/sort",
@@ -470,8 +470,8 @@ func TestJobTimeoutCancellation(t *testing.T) {
 // TestZeroOneKernelSharesCacheEntry pins the executor-hint contract for
 // the 0-1 kernel families: jobs that differ only in the requested kernel
 // map to one cache key and serve byte-identical payloads, because the
-// sliced, packed, and cellwise engines are lockstep-equivalent and the
-// hash excludes the hint.
+// sliced and cellwise engines are lockstep-equivalent and the hash
+// excludes the hint.
 func TestZeroOneKernelSharesCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := func(kernel string) string {
@@ -485,9 +485,9 @@ func TestZeroOneKernelSharesCacheEntry(t *testing.T) {
 	if got := respSliced.Header.Get("X-Meshsort-Cache"); got != "miss" {
 		t.Fatalf("first kernel cache header: %q, want miss", got)
 	}
-	// "threshold" serves the permutation class only, so on a 0-1 job the
-	// hint is treated as auto — same cache entry, same payload.
-	for _, kernel := range []string{"packed", "generic", "auto", "threshold", ""} {
+	// "span" serves the permutation class only, so on a 0-1 job the hint
+	// is treated as auto — same cache entry, same payload.
+	for _, kernel := range []string{"generic", "auto", "span", ""} {
 		resp, buf := postJSON(t, ts.URL+"/v1/sort", body(kernel))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("kernel %q sort: %d %s", kernel, resp.StatusCode, buf)
@@ -502,9 +502,9 @@ func TestZeroOneKernelSharesCacheEntry(t *testing.T) {
 }
 
 // TestPermutationKernelSharesCacheEntry is the permutation-class twin:
-// span, generic, and the threshold-sliced verification kernel are
-// bit-identical on permutation batches, so jobs differing only in the
-// hint share one cache entry and serve byte-identical payloads.
+// span, sharded span and generic are bit-identical on permutation
+// batches, so jobs differing only in the hint share one cache entry and
+// serve byte-identical payloads.
 func TestPermutationKernelSharesCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := func(kernel string) string {
@@ -518,7 +518,7 @@ func TestPermutationKernelSharesCacheEntry(t *testing.T) {
 	if got := respSpan.Header.Get("X-Meshsort-Cache"); got != "miss" {
 		t.Fatalf("first kernel cache header: %q, want miss", got)
 	}
-	for _, kernel := range []string{"generic", "threshold", "span-sharded", "auto", "sliced", ""} {
+	for _, kernel := range []string{"generic", "span-sharded", "auto", "sliced", ""} {
 		resp, buf := postJSON(t, ts.URL+"/v1/sort", body(kernel))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("kernel %q sort: %d %s", kernel, resp.StatusCode, buf)
@@ -529,6 +529,70 @@ func TestPermutationKernelSharesCacheEntry(t *testing.T) {
 		if !bytes.Equal(buf, bufSpan) {
 			t.Fatalf("kernel %q payload differs from span:\n%s\nvs\n%s", kernel, buf, bufSpan)
 		}
+	}
+}
+
+// TestRetiredKernelNamesRejected pins that the retired cell-packed and
+// threshold-sliced kernel names are unknown names like any other: every
+// job entry point answers 400 with a message listing the accepted names.
+func TestRetiredKernelNamesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, kernel := range []string{"packed", "threshold"} {
+		for _, path := range []string{"/v1/jobs", "/v1/sort"} {
+			body := fmt.Sprintf(`{"algorithm":"snake-a","side":8,"trials":4,"kernel":%q}`, kernel)
+			resp, buf := postJSON(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s kernel %q: got %d %s, want 400", path, kernel, resp.StatusCode, buf)
+			}
+			if !strings.Contains(string(buf), "want auto, generic, span, span-sharded or sliced") {
+				t.Fatalf("%s kernel %q: message does not list the accepted names: %s", path, kernel, buf)
+			}
+		}
+	}
+}
+
+// TestKernelLabelsFollowRegistry pins the by-kernel series: one per
+// registered kernel in registry order, then "fabric" and "other".
+func TestKernelLabelsFollowRegistry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, buf := getBody(t, ts.URL+"/metrics")
+	const prefix = `meshsortd_jobs_by_kernel_total{kernel="`
+	var got []string
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			got = append(got, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	want := []string{"span-sharded", "span", "sliced", "generic", "fabric", "other"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("by-kernel labels %v, want %v", got, want)
+	}
+}
+
+// TestPinnedShardsClampedInJobStatus pins that a job's status reports
+// the shard count that ran: a pinned count above the row count is
+// clamped to it, as the engine clamps it.
+func TestPinnedShardsClampedInJobStatus(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, buf := postJSON(t, ts.URL+"/v1/jobs",
+		`{"algorithm":"snake-a","rows":2,"cols":64,"trials":3,"seed":1,"kernel":"span-sharded","shards":8}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, buf)
+	}
+	var sub submitResponse
+	if err := json.Unmarshal(buf, &sub); err != nil {
+		t.Fatal(err)
+	}
+	resp, buf = getBody(t, ts.URL+"/v1/jobs/"+sub.ID+"?wait=1")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status: %d %s", resp.StatusCode, buf)
+	}
+	var st statusResponse
+	if err := json.Unmarshal(buf, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != "done" || st.Kernel != "span-sharded" || st.Shards != 2 {
+		t.Fatalf("status %q reports kernel=%q shards=%d, want done span-sharded/2", st.Status, st.Kernel, st.Shards)
 	}
 }
 

@@ -227,7 +227,7 @@ func TestThresholdTrinity(t *testing.T) {
 					t.Fatal(err)
 				}
 				gk := g.Clone()
-				kern, err := zeroone.SortThresholds(gk, ss, 0, nil)
+				kern, err := zeroone.SortThresholds(gk, ss, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -290,7 +290,7 @@ func FuzzThresholdDecomposition(f *testing.F) {
 			t.Fatal(err)
 		}
 		gk := g.Clone()
-		kern, err := zeroone.SortThresholds(gk, ss, 0, nil)
+		kern, err := zeroone.SortThresholds(gk, ss, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/sched"
 )
 
-// The trial-sliced kernel transposes the bit-packing of packed.go: instead
-// of 64 cells of one trial per word, a TrialSlice stores 64 *trials* of one
-// cell per word — bit k of words[f] is trial k's value at flat cell f.
+// The trial-sliced kernel bit-packs across trials rather than cells: a
+// TrialSlice stores 64 *trials* of one cell per word — bit k of words[f]
+// is trial k's value at flat cell f.
 // Because every trial of a fixed (algorithm, rows, cols) runs the same
 // oblivious comparator schedule, one compare-exchange on the pair (lo, hi)
 // serves all 64 trials at once:
@@ -216,9 +216,8 @@ func pairLow(c sched.Comparator) int32 {
 }
 
 // CompileSliced compiles s for the trial-sliced kernel. Every schedule
-// compiles: the executor consumes comparators directly, so unlike the
-// cell-packed kernel there is no (offset, direction) family structure to
-// exploit — only the memory order of the step's pairs matters.
+// compiles: the executor consumes comparators directly, so only the
+// memory order of the step's pairs matters.
 func CompileSliced(s sched.Schedule) *SlicedSchedule {
 	rows, cols := s.Dims()
 	n := rows * cols
@@ -333,7 +332,7 @@ func unsortedAmong(w []uint64, ranks []int32, cand uint64) uint64 {
 // until every lane reaches target order or maxSteps is hit (0 uses
 // engine.DefaultMaxSteps). The batch is sorted in place; lane k's final
 // grid, Result, and error are bit-identical to running the scalar engine
-// (or SortPacked) on lane k's input alone — a lane that finishes at step t
+// on lane k's input alone — a lane that finishes at step t
 // is a fixed point of every later step (a sorted 0-1 grid produces no swap
 // under any comparator of these schedules), so lockstep continuation
 // cannot disturb it.

@@ -142,8 +142,8 @@ func TestCachedSliced(t *testing.T) {
 	}
 }
 
-// The lockstep differential suite (sliced vs scalar vs packed, step-cap
-// and ragged-lane coverage) lives in internal/kerneltest now: its
+// The lockstep differential suite (sliced vs scalar, step-cap and
+// ragged-lane coverage) lives in internal/kerneltest now: its
 // Compare harness packs every 0-1 case of the shared matrix into trial
 // slices and checks each lane against the independent reference. The
 // tests below keep the package-private coverage: packing round-trips,

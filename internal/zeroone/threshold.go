@@ -32,13 +32,14 @@ import (
 // masked out of the final popcount reconstruction. Each comparator then
 // costs Θ(N/64) words instead of Θ(1) scalar compares — the decomposition
 // performs Σ(a−b) ≈ N³/12 slice swaps for N²/12-ish permutation swaps —
-// so this kernel is the *verification* executor: it cross-checks the
-// span kernel bit for bit (and accelerates sortnet.StepsViaThresholds-
-// style decomposition sweeps by ~64x), while the measured tuner keeps the
-// span kernel for throughput. See DESIGN.md §11.
+// so this kernel is a test-only oracle, not a served executor: the
+// differential suites use it to cross-check the span kernel bit for bit
+// through the 0-1 principle (and it runs sortnet.StepsViaThresholds-
+// style decomposition sweeps ~64x faster than one scalar run per
+// projection). See DESIGN.md §11.
 
 // ErrNotPermutation reports that a grid handed to SortThresholds does not
-// hold each value 1..N exactly once; callers fall back to a scalar kernel.
+// hold each value 1..N exactly once.
 var ErrNotPermutation = errors.New("zeroone: grid is not a permutation of 1..N")
 
 // LoadThresholds fills all 64 lanes of ts with consecutive 0-1 threshold
@@ -67,26 +68,6 @@ func (ts *TrialSlice) LoadThresholds(g *grid.Grid, base int) {
 	ts.lanes = 64
 }
 
-// ThresholdScratch is the reusable per-worker state of SortThresholds:
-// the 64-lane slice buffer, the per-cell popcount accumulators that
-// reconstruct the final grid, and the executor's change-tracking arrays.
-type ThresholdScratch struct {
-	ts       *TrialSlice
-	counts   []int32
-	blockMax []int32
-	lastExec []int32
-}
-
-// NewThresholdScratch returns scratch for R×C meshes.
-func NewThresholdScratch(rows, cols int) *ThresholdScratch {
-	n := rows * cols
-	return &ThresholdScratch{
-		ts:       NewTrialSlice(rows, cols),
-		counts:   make([]int32, n),
-		blockMax: make([]int32, (n-1)>>blockShift+1),
-	}
-}
-
 // SortThresholds sorts the permutation grid g in place under schedule ss
 // by running all of g's 0-1 threshold projections through the lockstep
 // executor, 64 projections per chunk, and reassembling the permutation's
@@ -96,35 +77,28 @@ func NewThresholdScratch(rows, cols int) *ThresholdScratch {
 // is left in the exact partial state the scalar engine would leave.
 //
 // g must hold each value 1..N exactly once; otherwise SortThresholds
-// returns ErrNotPermutation with g untouched, so callers can fall back.
-// sc may be nil (scratch is then allocated per call).
+// returns ErrNotPermutation with g untouched.
 //
 //meshlint:exempt oblivious permutation validation, chunk bookkeeping, and popcount reconstruction read cell values; the comparator network itself is SortSliced's and stays oblivious — exactness is proven by the differential suites
-func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int, sc *ThresholdScratch) (engine.Result, error) {
+func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int) (engine.Result, error) {
 	if g.Rows() != ss.rows || g.Cols() != ss.cols {
 		return engine.Result{}, errors.New("zeroone: grid does not match the sliced schedule's dimensions")
-	}
-	if sc == nil {
-		sc = NewThresholdScratch(ss.rows, ss.cols)
-	} else if sc.ts.rows != ss.rows || sc.ts.cols != ss.cols {
-		return engine.Result{}, errors.New("zeroone: threshold scratch does not match the sliced schedule's dimensions")
 	}
 	if maxSteps == 0 {
 		maxSteps = engine.DefaultMaxSteps(ss.rows, ss.cols)
 	}
 	cells := g.Cells()
 	n := len(cells)
-	// Size the executor's run-recency array once here: the chunk loop is
-	// the allocation-free hot region, and a reused scratch keeps the whole
-	// call at zero allocations (cmd/benchbatch asserts exactly that).
-	if cap(sc.lastExec) < ss.totalRuns {
-		sc.lastExec = make([]int32, ss.totalRuns)
-	}
+	// Allocate every buffer here: the chunk loop is the allocation-free
+	// hot region. The per-cell popcount accumulators reconstruct the final
+	// grid; blockMax and lastExec are the executor's change tracking.
+	ts := NewTrialSlice(ss.rows, ss.cols)
+	counts := make([]int32, n)
+	blockMax := make([]int32, (n-1)>>blockShift+1)
+	lastExec := make([]int32, ss.totalRuns)
 
 	// Validate 1..N-ness with the counts array doubling as a seen table;
 	// the grid is untouched until validation passes.
-	counts := sc.counts[:n]
-	clear(counts)
 	for _, v := range cells {
 		if v < 1 || v > n || counts[v-1] != 0 {
 			return engine.Result{}, ErrNotPermutation
@@ -136,11 +110,11 @@ func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int, sc *Threshol
 	var res engine.Result
 	var lastAny int32
 	failed := false
-	w := sc.ts.words
+	w := ts.words
 	for chunk, base := 0, 0; ; chunk, base = chunk+1, base+63 {
-		sc.ts.LoadThresholds(g, base)
+		ts.LoadThresholds(g, base)
 		if unsortedAmong(w, ss.ranks, ^uint64(0)) != 0 {
-			last, swaps, unsorted := runThresholdChunk(w, ss, maxSteps, sc)
+			last, swaps, unsorted := runThresholdChunk(w, ss, maxSteps, blockMax, lastExec)
 			res.Swaps += swaps
 			if last > lastAny {
 				lastAny = last
@@ -198,10 +172,8 @@ func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int, sc *Threshol
 // point from its last swap on.
 //
 //meshlint:hot
-func runThresholdChunk(w []uint64, ss *SlicedSchedule, maxSteps int, sc *ThresholdScratch) (lastSwap int32, swaps int64, unsorted bool) {
-	blockMax := sc.blockMax
+func runThresholdChunk(w []uint64, ss *SlicedSchedule, maxSteps int, blockMax, lastExec []int32) (lastSwap int32, swaps int64, unsorted bool) {
 	clear(blockMax)
-	lastExec := sc.lastExec[:ss.totalRuns]
 	for i := range lastExec {
 		lastExec[i] = -1
 	}

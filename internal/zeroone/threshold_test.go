@@ -55,13 +55,12 @@ func TestSortThresholdsMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := NewThresholdScratch(shape.rows, shape.cols)
 			for trial := 0; trial < 4; trial++ {
 				input := workload.RandomPermutation(src, shape.rows, shape.cols)
 				gs := input.Clone()
 				rs, errS := engine.Run(gs, s, engine.Options{})
 				gt := input.Clone()
-				rt, errT := SortThresholds(gt, ss, 0, sc)
+				rt, errT := SortThresholds(gt, ss, 0)
 				if (errS == nil) != (errT == nil) {
 					t.Fatalf("%s %dx%d: engine err %v, threshold err %v", name, shape.rows, shape.cols, errS, errT)
 				}
@@ -102,7 +101,7 @@ func TestSortThresholdsStepLimit(t *testing.T) {
 			gs := input.Clone()
 			rs, errS := engine.Run(gs, s, engine.Options{MaxSteps: maxSteps})
 			gt := input.Clone()
-			rt, errT := SortThresholds(gt, ss, maxSteps, nil)
+			rt, errT := SortThresholds(gt, ss, maxSteps)
 			if (errS == nil) != (errT == nil) {
 				t.Fatalf("%s cap %d: engine err %v, threshold err %v", name, maxSteps, errS, errT)
 			}
@@ -137,7 +136,7 @@ func TestSortThresholdsRejectsNonPermutation(t *testing.T) {
 	} {
 		g := grid.FromValues(2, 2, vals)
 		before := g.Clone()
-		if _, err := SortThresholds(g, ss, 0, nil); !errors.Is(err, ErrNotPermutation) {
+		if _, err := SortThresholds(g, ss, 0); !errors.Is(err, ErrNotPermutation) {
 			t.Fatalf("%v: err = %v, want ErrNotPermutation", vals, err)
 		}
 		if !g.Equal(before) {
@@ -152,7 +151,7 @@ func TestSortThresholdsSortedAndTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := workload.SortedGrid(6, 6, grid.Snake)
-	res, err := SortThresholds(g, ss, 0, nil)
+	res, err := SortThresholds(g, ss, 0)
 	if err != nil || !res.Sorted || res.Steps != 0 || res.Swaps != 0 || res.Comparisons != 0 {
 		t.Fatalf("sorted input: res=%+v err=%v", res, err)
 	}
@@ -161,36 +160,9 @@ func TestSortThresholdsSortedAndTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	g1 := grid.FromValues(1, 1, []int{1})
-	res, err = SortThresholds(g1, ss1, 0, nil)
+	res, err = SortThresholds(g1, ss1, 0)
 	if err != nil || !res.Sorted || res.Steps != 0 || g1.AtFlat(0) != 1 {
 		t.Fatalf("1x1: res=%+v err=%v grid=%v", res, err, g1.AtFlat(0))
-	}
-}
-
-// TestSortThresholdsScratchReuse pins buffer pooling: a scratch carried
-// across trials must not leak state between them.
-func TestSortThresholdsScratchReuse(t *testing.T) {
-	src := rng.New(404)
-	ss, err := CachedSliced("snake-c", 9, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewThresholdScratch(9, 9)
-	for trial := 0; trial < 5; trial++ {
-		input := workload.RandomPermutation(src, 9, 9)
-		gReuse := input.Clone()
-		rReuse, err := SortThresholds(gReuse, ss, 0, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gFresh := input.Clone()
-		rFresh, err := SortThresholds(gFresh, ss, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rReuse != rFresh || !gReuse.Equal(gFresh) {
-			t.Fatalf("trial %d: reused %+v != fresh %+v", trial, rReuse, rFresh)
-		}
 	}
 }
 
@@ -200,10 +172,7 @@ func TestSortThresholdsDimensionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := workload.RandomPermutation(rng.New(1), 4, 6)
-	if _, err := SortThresholds(g, ss, 0, nil); err == nil {
+	if _, err := SortThresholds(g, ss, 0); err == nil {
 		t.Fatal("dimension mismatch accepted")
-	}
-	if _, err := SortThresholds(workload.RandomPermutation(rng.New(2), 4, 4), ss, 0, NewThresholdScratch(6, 6)); err == nil {
-		t.Fatal("scratch dimension mismatch accepted")
 	}
 }

@@ -62,7 +62,8 @@ const (
 	RowMajorRowFirstNoWrap = core.RowMajorRowFirstNoWrap
 )
 
-// Options configures a run (worker count, step cap, observer hook).
+// Options configures a run (step cap, observer hook, completion tracker,
+// kernel hints).
 type Options = engine.Options
 
 // Result reports a run's step, swap, and comparison counts.
