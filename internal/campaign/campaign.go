@@ -94,6 +94,9 @@ func (s Spec) Expand() ([]Cell, error) {
 	if len(s.Trials) == 0 {
 		return nil, fmt.Errorf("campaign: no trial counts")
 	}
+	if s.MaxSteps < 0 {
+		return nil, fmt.Errorf("campaign: max_steps must be >= 0 (got %d)", s.MaxSteps)
+	}
 	workloads := s.Workloads
 	if len(workloads) == 0 {
 		workloads = []string{WorkloadPerm}

@@ -68,6 +68,7 @@ func TestExpandValidation(t *testing.T) {
 		{"bad trials", func(s *Spec) { s.Trials = []int{-1} }, "invalid trial count"},
 		{"bad workload", func(s *Spec) { s.Workloads = []string{"gauss"} }, "unknown workload"},
 		{"duplicate cells", func(s *Spec) { s.Sides = []int{4, 4} }, "duplicate cell"},
+		{"negative max_steps", func(s *Spec) { s.MaxSteps = -1 }, "max_steps must be >= 0"},
 	}
 	for _, tc := range cases {
 		s := gridSpec()

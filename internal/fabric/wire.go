@@ -80,6 +80,9 @@ func (r ShardRequest) ToSpec() (mcbatch.Spec, error) {
 	if r.Trials < 0 || r.TrialOffset < 0 {
 		return mcbatch.Spec{}, fmt.Errorf("fabric: invalid shard range [%d,%d)", r.TrialOffset, r.TrialOffset+r.Trials)
 	}
+	if r.MaxSteps < 0 {
+		return mcbatch.Spec{}, fmt.Errorf("fabric: max_steps must be >= 0 (got %d)", r.MaxSteps)
+	}
 	if err := alg.CheckMesh(r.Rows, r.Cols); err != nil {
 		return mcbatch.Spec{}, fmt.Errorf("fabric: %w", err)
 	}

@@ -45,10 +45,10 @@ func TestLockstepCarryStress(t *testing.T) {
 }
 
 // TestLockstepBlockStraddle runs meshes whose rows cross 64-cell blocks,
-// so runs stop at block edges and end mid-chunk, under no cap, cap 3, and
-// a cap at the lanes' median step count that cuts the sort off while half
-// the lanes are still active, with ragged lane counts around the chunk
-// size and the full width.
+// so runs stop at block edges and end mid-chunk, under no cap, a negative
+// cap (no step runs), cap 3, and a cap at the lanes' median step count
+// that cuts the sort off while half the lanes are still active, with
+// ragged lane counts around the chunk size and the full width.
 func TestLockstepBlockStraddle(t *testing.T) {
 	src := rng.New(0xB10C)
 	for _, alg := range append(sched.Names(), "rm-rf-nowrap") {
@@ -78,7 +78,7 @@ func TestLockstepBlockStraddle(t *testing.T) {
 				steps[i] = o.res.Steps
 			}
 			slices.Sort(steps)
-			for _, maxSteps := range []int{0, 3, max(4, steps[len(steps)/2])} {
+			for _, maxSteps := range []int{0, -1, 3, max(4, steps[len(steps)/2])} {
 				base := uncapped
 				if maxSteps != 0 {
 					base = references(s, maxSteps, cases)
@@ -89,6 +89,50 @@ func TestLockstepBlockStraddle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLockstepMixedWeights runs a schedule whose pairs take two nonzero
+// weights under P(r, c) = r + c: snake-style row phases, whose odd rows
+// run right to left (weight 2), row-major wrap pairs (weight C − 1 = 9)
+// and column phases. It compiles with P ≡ 0, so the kernel counts every
+// pair, and every lane must still match the reference under a cap.
+func TestLockstepMixedWeights(t *testing.T) {
+	const rows, cols = 7, 10
+	var phases [][]sched.Comparator
+	for parity := 0; parity < 2; parity++ {
+		var rowPhase, colPhase []sched.Comparator
+		for r := 0; r < rows; r++ {
+			for c := parity; c+1 < cols; c += 2 {
+				lo, hi := int32(r*cols+c), int32(r*cols+c+1)
+				if r%2 == 1 {
+					lo, hi = hi, lo
+				}
+				rowPhase = append(rowPhase, sched.Comparator{Lo: lo, Hi: hi})
+			}
+			if parity == 1 && r+1 < rows {
+				rowPhase = append(rowPhase, sched.Comparator{Lo: int32(r*cols + cols - 1), Hi: int32((r + 1) * cols)})
+			}
+		}
+		for r := parity; r+1 < rows; r += 2 {
+			for c := 0; c < cols; c++ {
+				colPhase = append(colPhase, sched.Comparator{Lo: int32(r*cols + c), Hi: int32((r+1)*cols + c)})
+			}
+		}
+		phases = append(phases, rowPhase, colPhase)
+	}
+	s := schedtest.NewPhases(rows, cols, grid.Snake, phases)
+	src := rng.New(0x317)
+	cases := make([]Case, 64)
+	for i := range cases {
+		cases[i] = Case{
+			Label: fmt.Sprintf("zeroone-%d", i),
+			Input: workload.RandomZeroOne(src, rows, cols, rng.Intn(src, rows*cols+1)),
+		}
+	}
+	for _, maxSteps := range []int{-1, 5, 400} {
+		compareLockstep(t, fmt.Sprintf("mixed weights %dx%d cap=%d", rows, cols, maxSteps),
+			zeroone.CompileSliced(s), maxSteps, cases, references(s, maxSteps, cases))
 	}
 }
 

@@ -58,7 +58,9 @@ type ResultPayload struct {
 // summaries are folded in trial-index order (like Batch.Steps), so the
 // floating-point aggregates are deterministic under any worker count.
 // Execution hints on spec (Workers, Kernel, Shards) never reach the
-// bytes: the embedded spec is the canonical resolution.
+// bytes: the embedded spec is the canonical resolution. The returned
+// slice has no spare capacity, because the job registry and the result
+// cache hold thousands of payloads.
 func BuildPayload(spec mcbatch.Spec, key mcbatch.Key, b *mcbatch.Batch) ([]byte, error) {
 	var swaps, comparisons stats.Welford
 	for _, t := range b.Trials {
@@ -76,5 +78,8 @@ func BuildPayload(spec mcbatch.Spec, key mcbatch.Key, b *mcbatch.Batch) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	return append(buf, '\n'), nil
+	out := make([]byte, len(buf)+1)
+	copy(out, buf)
+	out[len(buf)] = '\n'
+	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -24,7 +23,7 @@ const payloadGoldenPath = "testdata/payload_golden.json"
 
 // payloadGolden is the committed answer key: the sha256 of every golden
 // spec's payload bytes, and the per-trial "steps:swaps" vectors of the
-// specs listed in traceSpecs, so a failure names the trial that moved.
+// specs goldenSpecs marks, so a failure names the trial that moved.
 type payloadGolden struct {
 	Payloads map[string]string `json:"payloads"`
 	Trials   map[string]string `json:"trials"`
@@ -121,9 +120,6 @@ func TestPayloadGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(payloadGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(payloadGoldenPath, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -178,4 +174,25 @@ func sortedKeys(m map[string]string) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// TestBuildPayloadExactSize pins that a payload carries no spare
+// capacity: the job registry and the result cache keep thousands of them.
+func TestBuildPayloadExactSize(t *testing.T) {
+	spec := mcbatch.Spec{Algorithm: core.SnakeA, Rows: 32, Cols: 32, Trials: 128, Seed: 1, ZeroOne: true}
+	key, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mcbatch.RunCtx(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := BuildPayload(spec, key, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(payload) != len(payload) {
+		t.Fatalf("payload of %d bytes sits in a %d-byte buffer", len(payload), cap(payload))
+	}
 }

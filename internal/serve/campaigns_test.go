@@ -291,3 +291,27 @@ func TestCampaignRequiresStore(t *testing.T) {
 		t.Fatalf("error does not point at the -store flag: %s", buf)
 	}
 }
+
+// TestNegativeMaxStepsRejected pins that a negative step cap is a 400 at
+// the fabric shard and campaign endpoints, like at /v1/jobs, and that the
+// daemon keeps serving a 0-1 job afterwards.
+func TestNegativeMaxStepsRejected(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	s, ts := storedServer(st, Config{})
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/fabric/shard", `{"algorithm":"snake-a","rows":4,"cols":4,"trials":3,"seed":1,"max_steps":-1,"zeroone":true}`},
+		{"/v1/campaigns", `{"algorithms":["snake-a"],"sides":[4],"trials":[3],"workloads":["zeroone"],"max_steps":-1}`},
+	} {
+		resp, buf := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(buf), "max_steps must be") {
+			t.Errorf("%s: got %d %s, want 400 naming max_steps", tc.path, resp.StatusCode, buf)
+		}
+	}
+	resp, buf := postJSON(t, ts.URL+"/v1/sort", `{"algorithm":"snake-a","side":4,"trials":3,"seed":1,"zeroone":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon stopped serving after the rejected requests: %d %s", resp.StatusCode, buf)
+	}
+}

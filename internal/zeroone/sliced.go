@@ -25,11 +25,18 @@ import (
 // out of order — the classic bitslicing trick of sorting-network and
 // cipher implementations. Each comparator costs a handful of word
 // operations *total*, not per trial. The executor is one strided sweep
-// with no per-pair branch: it always stores both results, sums the swap
-// masks of up to chunkPairs pairs per lane in four register bit-planes,
-// and touches memory beyond the two words only once per chunk in which
-// some lane swapped. Runs stop at every 64-cell change-tracking block, so
-// a run whose blocks are unchanged since it last executed is skipped.
+// with no per-pair branch: it always stores both results. Swaps are not
+// tallied pair by pair: a swap moves its lane's 1 from Lo to Hi, so with a
+// cell potential P and Φ the sum of P over a lane's 1s, a lane's swaps are
+// Φ_final − Φ_init plus each pair's swaps weighted by w = 1 − (P(Hi) −
+// P(Lo)). With P(r, c) = r + c, column pairs and forward row pairs have
+// w = 0 and run with no counter at all; only the reverse row pairs of the
+// snakes and shearsort (w = 2) and the row-major wrap pairs (w = C − 1)
+// sum their swap masks, per lane in four register bit-planes, touching
+// memory beyond the two words only once per chunk in which some lane
+// swapped (docs/THEORY.md, "Swap accounting by potential"). Runs stop at
+// every 64-cell change-tracking block, so a run whose blocks are
+// unchanged since it last executed is skipped.
 // SortSliced is verified bit-identical, lane by lane, to an independent
 // reference executor — Steps, Swaps, Comparisons, errors, and final
 // grids — by the differential suites of internal/kerneltest, including
@@ -144,6 +151,10 @@ type slicedRun struct {
 	// blo..bhi is the inclusive range of change-tracking blocks the run's
 	// cells fall in, precomputed for the executor's skip check.
 	blo, bhi int32
+	// weight is every member pair's w = 1 − (P(Hi) − P(Lo)) under the
+	// schedule's potential: what a swap on the pair adds to a lane's swap
+	// count beyond its change of Φ. Weight-0 runs are swept uncounted.
+	weight int32
 }
 
 // blockShift sets the granularity of the executor's change tracking:
@@ -187,10 +198,22 @@ type SlicedSchedule struct {
 	// totalRuns entries (the executor's last-execution stamps).
 	runStart  []int32
 	totalRuns int
+
+	// Swap accounting by potential: pot[f] is the potential P of flat
+	// cell f, phiSorted[α] = Σ P over ranks α..N−1 is Φ of a sorted lane
+	// with α zeros, and omega is the one nonzero run weight (0 when every
+	// run has weight 0).
+	pot       []int32
+	phiSorted []int64
+	omega     int64
 }
 
-// comparisonsAfter returns the cumulative comparator count after step t.
+// comparisonsAfter returns the cumulative comparator count after step t;
+// a negative t, a cap under which no step runs, counts none.
 func (ss *SlicedSchedule) comparisonsAfter(t int) int64 {
+	if t <= 0 {
+		return 0
+	}
 	period := len(ss.steps)
 	return int64(t/period)*ss.periodComps + ss.compPrefix[t%period]
 }
@@ -215,17 +238,52 @@ func pairLow(c sched.Comparator) int32 {
 	return c.Hi
 }
 
+// pairWeight is comparator c's weight under potential pot: a swap on c
+// raises its lane's Φ by pot[Hi] − pot[Lo], so it counts w = 1 − that
+// beyond the change of Φ.
+func pairWeight(pot []int32, c sched.Comparator) int32 {
+	return 1 - (pot[c.Hi] - pot[c.Lo])
+}
+
+// choosePotential returns the cell potential P(r, c) = r + c and ω, the
+// one nonzero weight the pairs of phases take under it (0 if none): a
+// column or forward row pair has weight 0, a reverse row pair 2 and a
+// row-major wrap pair C − 1. If the pairs take two different nonzero
+// weights it returns P ≡ 0 instead, under which every pair has weight 1,
+// so every swap is counted.
+func choosePotential(rows, cols int, phases [][]sched.Comparator) (pot []int32, omega int32) {
+	pot = make([]int32, rows*cols)
+	for f := range pot {
+		pot[f] = int32(f/cols + f%cols)
+	}
+	for _, comps := range phases {
+		for _, c := range comps {
+			w := pairWeight(pot, c)
+			if w != 0 && omega != 0 && w != omega {
+				clear(pot)
+				return pot, 1
+			}
+			if w != 0 {
+				omega = w
+			}
+		}
+	}
+	return pot, omega
+}
+
 // CompileSliced compiles s for the trial-sliced kernel. Every schedule
 // compiles: the executor consumes comparators directly, so only the
-// memory order of the step's pairs matters.
+// memory order of the step's pairs and their weights matter.
 func CompileSliced(s sched.Schedule) *SlicedSchedule {
 	rows, cols := s.Dims()
 	n := rows * cols
 	phases := sched.PhasesOf(s)
+	pot, omega := choosePotential(rows, cols, phases)
 	ss := &SlicedSchedule{
 		name: s.Name(), order: s.Order(),
 		rows: rows, cols: cols,
 		steps: make([]slicedStep, len(phases)),
+		pot:   pot, omega: int64(omega),
 	}
 	ss.compPrefix = make([]int64, len(phases)+1)
 	ss.runStart = make([]int32, len(phases))
@@ -235,7 +293,7 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 		sort.Slice(pairs, func(i, j int) bool {
 			return pairLow(pairs[i]) < pairLow(pairs[j])
 		})
-		ss.steps[si] = slicedStep{runs: compressRuns(pairs), comparisons: int64(len(comps))}
+		ss.steps[si] = slicedStep{runs: compressRuns(pairs, pot), comparisons: int64(len(comps))}
 		ss.compPrefix[si+1] = ss.compPrefix[si] + int64(len(comps))
 		ss.runStart[si] = int32(ss.totalRuns)
 		ss.totalRuns += len(ss.steps[si].runs)
@@ -246,23 +304,29 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 	for m := 0; m < n; m++ {
 		ss.ranks[m] = int32(g.RankFlat(s.Order(), m))
 	}
+	ss.phiSorted = make([]int64, n+1)
+	for m := n - 1; m >= 0; m-- {
+		ss.phiSorted[m] = ss.phiSorted[m+1] + int64(pot[ss.ranks[m]])
+	}
 	return ss
 }
 
 // compressRuns greedily packs pairLow-ordered comparators into arithmetic
-// runs: successive pairs join a run while their delta (Hi−Lo) matches,
-// their Lo advances by the run's stride (fixed by the first two members),
-// and their lower cell stays in the first member's block. Irregular
-// comparators — e.g. a lone wraparound pair — fall out as runs of count 1,
+// runs: successive pairs join a run while their delta (Hi−Lo) and weight
+// under pot match, their Lo advances by the run's stride (fixed by the
+// first two members), and their lower cell stays in the first member's
+// block. Irregular comparators — e.g. a lone wraparound pair, whose
+// weight differs from its row neighbours' — fall out as runs of count 1,
 // so any schedule compresses without a special case.
-func compressRuns(pairs []sched.Comparator) []slicedRun {
+func compressRuns(pairs []sched.Comparator, pot []int32) []slicedRun {
 	var runs []slicedRun
 	for i := 0; i < len(pairs); {
-		r := slicedRun{base: pairs[i].Lo, delta: pairs[i].Hi - pairs[i].Lo, count: 1}
+		r := slicedRun{base: pairs[i].Lo, delta: pairs[i].Hi - pairs[i].Lo, count: 1, weight: pairWeight(pot, pairs[i])}
 		block := pairLow(pairs[i]) >> blockShift
 		j := i + 1
 		for ; j < len(pairs); j++ {
-			if pairs[j].Hi-pairs[j].Lo != r.delta || pairLow(pairs[j])>>blockShift != block {
+			if pairs[j].Hi-pairs[j].Lo != r.delta || pairLow(pairs[j])>>blockShift != block ||
+				pairWeight(pot, pairs[j]) != r.weight {
 				break
 			}
 			stride := pairs[j].Lo - pairs[j-1].Lo
@@ -330,12 +394,12 @@ func unsortedAmong(w []uint64, ranks []int32, cand uint64) uint64 {
 
 // SortSliced runs all occupied lanes of ts in lockstep under schedule ss
 // until every lane reaches target order or maxSteps is hit (0 uses
-// engine.DefaultMaxSteps). The batch is sorted in place; lane k's final
-// grid, Result, and error are bit-identical to running the scalar engine
-// on lane k's input alone — a lane that finishes at step t
-// is a fixed point of every later step (a sorted 0-1 grid produces no swap
-// under any comparator of these schedules), so lockstep continuation
-// cannot disturb it.
+// engine.DefaultMaxSteps; a negative cap runs no step). The batch is
+// sorted in place; lane k's final grid, Result, and error are
+// bit-identical to running the scalar engine on lane k's input alone — a
+// lane that finishes at step t is a fixed point of every later step (a
+// sorted 0-1 grid produces no swap under any comparator of these
+// schedules), so lockstep continuation cannot disturb it.
 //
 // results[k] is lane k's Result; errs is nil when every lane sorted,
 // otherwise errs[k] carries lane k's *engine.ErrStepLimit (nil for lanes
@@ -367,18 +431,22 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 	// Per-lane state the hot loop maintains is deliberately tiny. A lane's
 	// sorted status can only change on a step where it swaps, so a lane
 	// that ends sorted became sorted exactly at its last swap step — the
-	// loop records lastSwap per lane and never rescans the grid. Swap
-	// counts live in bit-sliced form: bit k of planes[i] is bit i of lane
-	// k's count.
+	// loop records lastSwap per lane and never rescans the grid. Counts
+	// live in bit-sliced form (bit k of planes[i] is bit i of lane k's
+	// count): ones holds each lane's count of 1s, which compare-exchange
+	// never changes, phi its Φ_init, and planes its swaps on pairs of
+	// weight ss.omega.
 	var (
-		lastSwap [64]int32
-		planes   [64]uint64
+		lastSwap  [64]int32
+		ones, phi [64]uint64
+		planes    [64]uint64
 	)
+	addPotential(w, ss.pot, &ones, &phi)
 
 	// Change tracking for run skipping: blockMax[b] is the latest step that
-	// may have swapped a cell of block b (marks are per chunk, so they can
-	// cover more than the swapped cells but never miss one), lastExec the
-	// step each run last executed.
+	// may have swapped a cell of block b (marks are per chunk or run, so
+	// they can cover more than the swapped cells but never miss one),
+	// lastExec the step each run last executed.
 	n := ss.rows * ss.cols
 	blockMax := make([]int32, (n-1)>>blockShift+1)
 	lastExec := make([]int32, ss.totalRuns)
@@ -413,12 +481,17 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 	still := unsortedAmong(w, ss.ranks, laneMask)
 	limitComps := ss.comparisonsAfter(maxSteps)
 	for k := 0; k < lanes; k++ {
-		var sw int64
-		for i := 62; i >= 0; i-- { // counts stay far below 2^63
-			sw = sw<<1 | int64(planes[i]>>uint(k)&1)
+		// Swaps = Φ_final − Φ_init + ω·(swaps on weight-ω pairs). A sorted
+		// lane with α zeros holds its 1s at ranks α..N−1.
+		alpha := n - int(laneCount(&ones, k))
+		phiEnd := ss.phiSorted[alpha]
+		unsorted := still>>uint(k)&1 == 1
+		var misplaced int
+		if unsorted {
+			misplaced, phiEnd = cutLane(w, ss, k, alpha)
 		}
-		results[k].Swaps = sw
-		if still>>uint(k)&1 == 1 {
+		results[k].Swaps = phiEnd - laneCount(&phi, k) + ss.omega*laneCount(&planes, k)
+		if unsorted {
 			// The lane is at (or was cut off in) an unsorted state; the
 			// scalar engine would have churned on to the step limit, so its
 			// comparison count is the limit's.
@@ -429,7 +502,7 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 			errs[k] = &engine.ErrStepLimit{
 				Algorithm: ss.name,
 				MaxSteps:  maxSteps,
-				Misplaced: laneMisplaced(w, ss.ranks, n, k),
+				Misplaced: misplaced,
 			}
 			continue
 		}
@@ -463,8 +536,10 @@ func (r *slicedRun) changedSince(blockMax []int32, last int32) bool {
 // returns the OR of the lanes' swap masks. Every pair stores lo&hi and
 // lo|hi, swapped or not, so the loop has no branch on the data: on the
 // paper's half-0/half-1 inputs 20–56% of the executed pairs swap in some
-// lane, depending on schedule, so a branch on it mispredicts often. Each
-// chunk of up to chunkPairs pairs sums its swap masks per lane in four
+// lane, depending on schedule, so a branch on it mispredicts often. A
+// weight-0 run is one uncounted pass, which marks all of the run's blocks
+// in blockMax if some lane swapped. A weighted run goes in chunks of up
+// to chunkPairs pairs, each summing its swap masks per lane in four
 // register bit-planes through a fixed half-adder chain; only a chunk in
 // which some lane swapped marks its blocks in blockMax and flushes its
 // sums into planes. The marks cover the blocks of both roles' first and
@@ -480,6 +555,15 @@ func sweep(w []uint64, blockMax, runExec []int32, runs []slicedRun, tt int32, pl
 		}
 		runExec[ri] = tt
 		f, delta, stride := int(r.base), int(r.delta), int(r.stride)
+		if r.weight == 0 {
+			if swapped := exchange(w, f, delta, stride, int(r.count)); swapped != 0 {
+				dirty |= swapped
+				for b := r.blo; b <= r.bhi; b++ {
+					blockMax[b] = tt
+				}
+			}
+			continue
+		}
 		for left := int(r.count); left > 0; left -= chunkPairs {
 			k := min(left, chunkPairs)
 			ones, twos, fours, eights := sweepChunk(w, f, delta, stride, k)
@@ -496,6 +580,25 @@ func sweep(w []uint64, blockMax, runExec []int32, runs []slicedRun, tt int32, pl
 		}
 	}
 	return dirty
+}
+
+// exchange compare-exchanges the k pairs (f, f+delta), f advancing by
+// stride, without counting, and returns the OR of their swap masks. Like
+// sweepChunk it stays out of line, so sweep's live values do not spill
+// its loop's registers to the stack.
+//
+//meshlint:hot
+//go:noinline
+func exchange(w []uint64, f, delta, stride, k int) (swapped uint64) {
+	for g := f + delta; k > 0; k-- {
+		lo, hi := w[f], w[g]
+		s := lo &^ hi
+		w[f], w[g] = lo&hi, hi|s
+		swapped |= s
+		f += stride
+		g += stride
+	}
+	return swapped
 }
 
 // sweepChunk compare-exchanges the k pairs (f, f+delta), f advancing by
@@ -538,27 +641,57 @@ func addCounts(planes *[64]uint64, ones, twos, fours, eights uint64) {
 	carry, planes[2] = planes[2]&fours|x&carry, x^carry
 	x = planes[3] ^ eights
 	carry, planes[3] = planes[3]&eights|x&carry, x^carry
-	for i := 4; carry != 0; i++ {
-		p := planes[i]
-		planes[i] = p ^ carry
-		carry &= p
+	addAt(planes, carry, 4)
+}
+
+// addPotential adds each lane's count of 1s into ones and its potential
+// Φ = Σ pot[f] over the lane's 1s into phi, both bit-sliced like the swap
+// planes: cell f adds its word once at plane 0 of ones and once at plane
+// b of phi for every set bit b of pot[f].
+//
+//meshlint:hot
+func addPotential(w []uint64, pot []int32, ones, phi *[64]uint64) {
+	pot = pot[:len(w)]
+	for f, x := range w {
+		addAt(ones, x, 0)
+		for p := uint32(pot[f]); p != 0; p &= p - 1 {
+			addAt(phi, x, bits.TrailingZeros32(p))
+		}
 	}
 }
 
-// laneMisplaced counts lane k's 1s inside its zero region — the first
-// alpha target ranks, alpha being the lane's zero count — matching
-// grid.ZeroOneTracker's misplacement measure exactly.
+// addAt adds 2^b to the bit-sliced counter of every lane set in x.
 //
 //meshlint:hot
-func laneMisplaced(w []uint64, ranks []int32, n, k int) int {
-	ones := 0
-	for _, x := range w {
-		ones += int(x >> uint(k) & 1)
+func addAt(planes *[64]uint64, x uint64, b int) {
+	for ; x != 0; b++ {
+		p := planes[b&63]
+		planes[b&63] = p ^ x
+		x &= p
 	}
-	alpha := n - ones
-	mis := 0
-	for _, f := range ranks[:alpha] {
-		mis += int(w[f] >> uint(k) & 1)
+}
+
+// laneCount reads lane k's value out of bit-sliced counter planes.
+func laneCount(planes *[64]uint64, k int) int64 {
+	var v int64
+	for i := 62; i >= 0; i-- { // counts stay far below 2^63
+		v = v<<1 | int64(planes[i]>>uint(k)&1)
 	}
-	return mis
+	return v
+}
+
+// cutLane returns, for lane k cut off unsorted with alpha zeros, its 1s
+// inside its zero region — the first alpha target ranks, matching
+// grid.ZeroOneTracker's misplacement measure exactly — and its final
+// potential Φ.
+//
+//meshlint:hot
+func cutLane(w []uint64, ss *SlicedSchedule, k, alpha int) (misplaced int, phi int64) {
+	for _, f := range ss.ranks[:alpha] {
+		misplaced += int(w[f] >> uint(k) & 1)
+	}
+	for f, x := range w {
+		phi += int64(ss.pot[f]) * int64(x>>uint(k)&1)
+	}
+	return misplaced, phi
 }

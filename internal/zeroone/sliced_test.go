@@ -61,8 +61,9 @@ func TestTrialSliceRejectsNonBinary(t *testing.T) {
 // for every schedule on shapes whose rows straddle 64-cell blocks and for
 // random adjacent-pair schedules: each step's runs expand back to exactly
 // the step's comparator set, advance through memory by lower cell, and
-// keep their lower cells inside one block, and blo..bhi covers every cell
-// a run touches.
+// keep their lower cells inside one block, blo..bhi covers every cell a
+// run touches, and every member pair carries its run's weight, which is 0
+// or the schedule's ω.
 func TestCompileSlicedShape(t *testing.T) {
 	var scheds []sched.Schedule
 	for _, shape := range [][2]int{{16, 16}, {10, 22}, {7, 18}, {9, 9}, {1, 130}, {130, 2}} {
@@ -113,6 +114,9 @@ func TestCompileSlicedShape(t *testing.T) {
 							t.Fatalf("%s: run %+v touches block %d outside %d..%d", label, r, b, r.blo, r.bhi)
 						}
 					}
+					if w := pairWeight(ss.pot, c); w != r.weight || (w != 0 && int64(w) != ss.omega) {
+						t.Fatalf("%s: pair %v has weight %d in run %+v, schedule ω %d", label, c, w, r, ss.omega)
+					}
 					got = append(got, c)
 				}
 			}
@@ -120,6 +124,73 @@ func TestCompileSlicedShape(t *testing.T) {
 			schedtest.SortComparators(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: runs expand to %v, want %v", label, got, want)
+			}
+		}
+	}
+}
+
+// TestSlicedPotential pins the potential each schedule compiles with:
+// P(r, c) = r + c and ω = C − 1 for the row-major wrap schedules, ω = 2
+// for the snakes and shearsort, none for rm-rf-nowrap, and ω in {0, 2}
+// for random monotone adjacent-pair schedules; P ≡ 0 with every pair
+// counted (ω = 1) for a schedule whose pairs take two nonzero weights;
+// and phiSorted[α] = Σ P over ranks α..N−1.
+func TestSlicedPotential(t *testing.T) {
+	const rows, cols = 6, 10
+	want := []struct {
+		name  string
+		omega int64
+	}{
+		{"rm-rf", cols - 1}, {"rm-cf", cols - 1}, {"rm-rf-nowrap", 0},
+		{"snake-a", 2}, {"snake-b", 2}, {"snake-c", 2}, {"shearsort", 2},
+	}
+	check := func(label string, ss *SlicedSchedule, omega int64, fallback bool) {
+		t.Helper()
+		if ss.omega != omega {
+			t.Errorf("%s: ω = %d, want %d", label, ss.omega, omega)
+		}
+		r, c := ss.Dims()
+		for f, p := range ss.pot {
+			if wantP := int32(f/c + f%c); (fallback && p != 0) || (!fallback && p != wantP) {
+				t.Fatalf("%s: P(%d) = %d (fallback %v)", label, f, p, fallback)
+			}
+		}
+		var phi int64
+		for m := r*c - 1; m >= 0; m-- {
+			phi += int64(ss.pot[ss.ranks[m]])
+			if ss.phiSorted[m] != phi {
+				t.Fatalf("%s: phiSorted[%d] = %d, want %d", label, m, ss.phiSorted[m], phi)
+			}
+		}
+	}
+	for _, w := range want {
+		s, err := sched.ByName(w.name, rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(w.name, CompileSliced(s), w.omega, false)
+	}
+	for i, data := range [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}, {2, 2, 1, 0, 2, 1, 1}, {7, 1, 2, 200, 13, 8, 5, 31, 2, 9}} {
+		order := grid.Order(i % 2)
+		phases, _ := schedtest.RandomPhases(rows, cols, order, data, false)
+		ss := CompileSliced(schedtest.NewPhases(rows, cols, order, phases))
+		if ss.omega != 0 && ss.omega != 2 {
+			t.Errorf("random schedule %d: ω = %d, want 0 or 2", i, ss.omega)
+		}
+		check(fmt.Sprintf("random schedule %d", i), ss, ss.omega, false)
+	}
+	// A reverse row pair (weight 2) and a wrap pair (weight C − 1 = 9)
+	// in one schedule: no single ω fits, so P ≡ 0 and every pair counts.
+	mixed := schedtest.NewPhases(rows, cols, grid.RowMajor, [][]sched.Comparator{
+		{{Lo: cols + 1, Hi: cols}},
+		{{Lo: cols - 1, Hi: cols}},
+	})
+	ss := CompileSliced(mixed)
+	check("mixed weights", ss, 1, true)
+	for _, st := range ss.steps {
+		for _, r := range st.runs {
+			if r.weight != 1 {
+				t.Errorf("mixed weights: run %+v has weight %d under P ≡ 0", r, r.weight)
 			}
 		}
 	}
@@ -206,5 +277,42 @@ func TestSortSlicedEmpty(t *testing.T) {
 	results, errs, err := SortSliced(NewTrialSlice(4, 4), ss, 0)
 	if err != nil || errs != nil || len(results) != 0 {
 		t.Fatalf("empty batch: results=%v errs=%v err=%v", results, errs, err)
+	}
+}
+
+// TestSortSlicedAllocBudget enforces the trial-sliced kernel's allocation
+// budget: one 64-lane block at 32×32 — Reset, 64 AddGrid calls and one
+// SortSliced — allocates at most the results, blockMax and lastExec.
+// Every other piece of per-block state lives on the stack or in the
+// reused TrialSlice.
+func TestSortSlicedAllocBudget(t *testing.T) {
+	const side = 32
+	src := rng.New(0xA110C)
+	inputs := make([]*grid.Grid, 64)
+	for i := range inputs {
+		inputs[i] = workload.HalfZeroOne(src, side, side)
+	}
+	ts := NewTrialSlice(side, side)
+	for _, name := range []string{"rm-rf", "snake-a"} {
+		ss, err := CachedSliced(name, side, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runErr error
+		allocs := testing.AllocsPerRun(20, func() {
+			ts.Reset()
+			for _, g := range inputs {
+				ts.AddGrid(g)
+			}
+			if _, errs, err := SortSliced(ts, ss, 0); err != nil || errs != nil {
+				runErr = fmt.Errorf("SortSliced: err=%v errs=%v", err, errs)
+			}
+		})
+		if runErr != nil {
+			t.Fatalf("%s: %v", name, runErr)
+		}
+		if allocs > 3 {
+			t.Errorf("%s %dx%d: %.1f heap allocations per 64-lane block, budget 3", name, side, side, allocs)
+		}
 	}
 }
