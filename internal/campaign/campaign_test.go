@@ -69,6 +69,7 @@ func TestExpandValidation(t *testing.T) {
 		{"bad workload", func(s *Spec) { s.Workloads = []string{"gauss"} }, "unknown workload"},
 		{"duplicate cells", func(s *Spec) { s.Sides = []int{4, 4} }, "duplicate cell"},
 		{"negative max_steps", func(s *Spec) { s.MaxSteps = -1 }, "max_steps must be >= 0"},
+		{"trials past the stream range", func(s *Spec) { s.Trials = []int{1<<32 + 1} }, "trial range"},
 	}
 	for _, tc := range cases {
 		s := gridSpec()

@@ -9,7 +9,7 @@ import (
 )
 
 // The sharded span executor partitions the mesh into contiguous row
-// blocks and runs each phase's spans shard-parallel on a persistent
+// blocks and runs each phase's bands shard-parallel on a persistent
 // worker pool, synchronizing at a phase barrier. It exists for the
 // regime the serial span kernel cannot reach: one trial whose working
 // set outgrows a single core's cache, where across-trial parallelism
@@ -26,9 +26,9 @@ import (
 //     shard holding its lo cell (for the schedules' column pairs, the
 //     top cell) and simply writes one cell into its neighbor's rows;
 //     disjointness makes that safe without coordination, and the sweep
-//     never stores to a lane outside its own span.
-//   - Skipping is exact-conservative: a span (or sub-span) is skipped
-//     only when the settled windows prove every one of its pairs a
+//     never stores to a lane outside its own row.
+//   - Skipping is exact-conservative: a row (or row piece) is skipped,
+//     and a pair trimmed, only when the settled windows prove it a
 //     no-op, so executing a different partition of the same pair set
 //     skips at most different no-ops and never a live pair.
 //   - Swap counts are integer sums over disjoint pair sets (order
@@ -37,10 +37,13 @@ import (
 //     barrier — so Steps, Swaps, Comparisons, the early exit, and the
 //     ErrStepLimit misplaced count all match the serial kernel exactly.
 //
-// The per-shard trim cursors (see span.go) live in per-shard arenas and
-// are merged implicitly at the barrier: each shard trims only its own
-// sub-spans against the globally settled windows published with the
-// phase job, so no cursor is ever shared between shards.
+// The per-shard cursors (see span.go) live in per-shard arenas and are
+// merged implicitly at the barrier: each shard trims only its own bands
+// against the globally settled windows published with the phase job, so
+// no cursor is ever shared between shards. Serial and sharded runs share
+// one executor body, execPhaseBands; a shard's bands are the serial
+// bands' rows cut at the shard's row boundaries and regrouped by the
+// serial plan's groupBands.
 
 const (
 	// shardL2Budget is the working-set threshold below which sharding is
@@ -78,28 +81,26 @@ func AutoShards(rows, cols, budget int) int {
 	return shards
 }
 
-// shardPart is one shard's slice of one phase: the sub-spans it owns
-// plus their cursor offset in the shard's arena.
-type shardPart struct {
-	curOff int32
-	spans  []span
-}
-
 // shardedPlan is a spanPlan split into contiguous row shards. Indexing
-// is phases[pi][s]; curLen[s] is shard s's total cursor-arena length.
+// is phases[pi][s], shard s's bands of phase pi; curLen[s] and winLen[s]
+// are shard s's cursor-arena lengths.
 type shardedPlan struct {
 	plan   *spanPlan
 	shards int
 	curLen []int32
-	phases [][]shardPart
+	winLen []int32
+	phases [][][]band
 }
 
 // shardSpanPlan splits plan into `shards` contiguous row blocks of
 // near-equal height (the first rows%shards blocks get the extra row). A
-// pair is owned by the shard holding its lo cell's row. A span's lo
+// pair is owned by the shard holding its lo cell's row. A band row's lo
 // cells are consecutive shadow cells of one half, where rows occupy
 // consecutive blocks of cells, so each shard owns one contiguous k-range
-// of every span and splitting preserves the pair set exactly.
+// of every band row: a row is cut only where a shard boundary falls
+// inside it, and splitting preserves the pair set exactly. Each shard's
+// pieces are then regrouped into bands by groupBands, the serial plan's
+// grouping.
 func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
 	rows := plan.rows
 	even, half := (plan.cols+1)/2, plan.half()
@@ -122,66 +123,54 @@ func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
 		plan:   plan,
 		shards: shards,
 		curLen: make([]int32, shards),
-		phases: make([][]shardPart, len(plan.phases)),
+		winLen: make([]int32, shards),
+		phases: make([][][]band, len(plan.phases)),
 	}
+	pieces := make([][]span, shards)
 	for pi := range plan.phases {
-		parts := make([]shardPart, shards)
-		for s := range parts {
-			parts[s].curOff = sp.curLen[s]
+		for s := range pieces {
+			pieces[s] = pieces[s][:0]
 		}
-		for i := range plan.phases[pi].spans {
-			run := &plan.phases[pi].spans[i]
-			bound := evenAt
-			if int(run.lo) >= half {
-				bound = oddAt
+		for i := range plan.phases[pi].bands {
+			b := &plan.phases[pi].bands[i]
+			for j := int32(0); j < b.rows; j++ {
+				row := b.row(j)
+				bound := evenAt
+				if int(row.lo) >= half {
+					bound = oddAt
+				}
+				splitSpan(&row, bound, pieces)
 			}
-			splitSpan(run, bound, parts)
 		}
+		parts := make([][]band, shards)
 		for s := range parts {
-			sp.curLen[s] += 2 * int32(len(parts[s].spans))
+			parts[s] = groupBands(pieces[s], &sp.curLen[s], &sp.winLen[s])
 		}
 		sp.phases[pi] = parts
 	}
 	return sp
 }
 
-// splitSpan appends sp's sub-spans to the shards owning them. Shard s
-// owns the pairs k with bound[s] <= lo + k < bound[s+1]. Affine
-// sub-spans get exact destination-rank bounds recomputed from the pitch
-// (the sub-span's own endpoints); a non-affine span inherits its
-// parent's conservative bounds, which only makes whole-span skipping
-// rarer, never wrong.
-func splitSpan(sp *span, bound []int32, parts []shardPart) {
-	for s := range parts {
+// splitSpan appends sp's pieces to the shards owning them. Shard s owns
+// the pairs k with bound[s] <= lo + k < bound[s+1]; a piece keeps sp's
+// pitch and starts its ranks where its first pair's are.
+func splitSpan(sp *span, bound []int32, pieces [][]span) {
+	for s := range pieces {
 		kA := max(bound[s]-sp.lo, 0)
 		kB := min(bound[s+1]-sp.lo, sp.pairs)
 		if kB <= kA {
 			continue
 		}
-		sub := span{
-			lo:     sp.lo + kA,
-			hi:     sp.hi + kA,
-			pairs:  kB - kA,
-			lr0:    sp.lr0 + kA*sp.dl,
-			dl:     sp.dl,
-			hr0:    sp.hr0 + kA*sp.dh,
-			dh:     sp.dh,
-			affine: sp.affine,
-		}
-		if sp.affine {
-			last := sub.pairs - 1
-			sub.maxLoRank = max(sub.lr0, sub.lr0+last*sub.dl)
-			sub.minHiRank = min(sub.hr0, sub.hr0+last*sub.dh)
-		} else {
-			sub.maxLoRank, sub.minHiRank = sp.maxLoRank, sp.minHiRank
-		}
-		parts[s].spans = append(parts[s].spans, sub)
+		pieces[s] = append(pieces[s], span{
+			lo: sp.lo + kA, hi: sp.hi + kA, pairs: kB - kA,
+			lr0: sp.lr0 + kA*sp.dl, dl: sp.dl, hr0: sp.hr0 + kA*sp.dh, dh: sp.dh,
+		})
 	}
 }
 
 // shardArena is one shard's private cursor storage: the pair-trim
-// cursors (two per sub-span) and active-window cursors (two per phase)
-// of span.go, confined to the shard so no cursor is shared.
+// cursors (two per row piece) and row-window cursors (two per band) of
+// span.go, confined to the shard so no cursor is shared.
 type shardArena struct {
 	cur []int32
 	win []int32
@@ -265,10 +254,9 @@ func (p *ShardPool) Close() {
 func (p *ShardPool) worker(w int, jobs <-chan shardJob) {
 	defer p.wg.Done()
 	for job := range jobs {
-		part := &p.sharded.phases[job.pi][w+1]
 		a := &p.arenas[w+1]
-		p.done <- execPhaseSpans(p.sh, p.sharded.plan.wide, part.spans,
-			a.cur[part.curOff:], a.win[2*job.pi:2*job.pi+2], job.p32, job.ns32)
+		p.done <- execPhaseBands(p.sh, p.sharded.plan.wide, p.sharded.phases[job.pi][w+1],
+			a.cur, a.win, job.p32, job.ns32)
 	}
 }
 
@@ -281,36 +269,27 @@ func (p *ShardPool) bind(plan *spanPlan, shards int) *shardedPlan {
 		sharded = shardSpanPlan(plan, shards)
 		p.lastPlan, p.lastShards, p.lastSharded = plan, shards, sharded
 	}
-	period := len(plan.phases)
 	for s := 0; s < shards; s++ {
 		a := &p.arenas[s]
 		if cap(a.cur) < int(sharded.curLen[s]) {
 			a.cur = make([]int32, sharded.curLen[s])
 		}
 		a.cur = a.cur[:sharded.curLen[s]]
-		if cap(a.win) < 2*period {
-			a.win = make([]int32, 2*period)
+		if cap(a.win) < int(sharded.winLen[s]) {
+			a.win = make([]int32, sharded.winLen[s])
 		}
-		a.win = a.win[:2*period]
+		a.win = a.win[:sharded.winLen[s]]
 	}
 	p.sharded = sharded
 	return sharded
 }
 
-// resetCursors rewinds every shard's trim and window cursors to the
-// full spans, as at the start of a fresh run.
+// resetCursors rewinds every shard's trim and window cursors to whole
+// rows and whole windows, as at the start of a fresh run.
 func (p *ShardPool) resetCursors(sharded *shardedPlan) {
-	for pi := range sharded.phases {
-		for s := 0; s < sharded.shards; s++ {
-			part := &sharded.phases[pi][s]
-			a := &p.arenas[s]
-			a.win[2*pi] = 0
-			a.win[2*pi+1] = int32(len(part.spans))
-			c := part.curOff
-			for j := range part.spans {
-				a.cur[c+2*int32(j)] = 0
-				a.cur[c+2*int32(j)+1] = part.spans[j].pairs
-			}
+	for _, parts := range sharded.phases {
+		for s, bands := range parts {
+			resetCursors(bands, p.arenas[s].cur, p.arenas[s].win)
 		}
 	}
 }
@@ -345,8 +324,8 @@ func resolveShards(opts Options, rows, cols int) int {
 
 // runDistinctSpansSharded is the sharded span kernel. Structure and
 // counters mirror runDistinctSpans exactly — shared shadow, shared
-// execPhaseSpans inner loop, serial settled-window advancement — with
-// the phase's spans pre-partitioned into row shards and dispatched to
+// execPhaseBands inner loop, serial settled-window advancement — with
+// the phase's bands pre-partitioned into row shards and dispatched to
 // the pool at each step. See the package comment above for why the
 // partition cannot change results.
 //
@@ -392,10 +371,8 @@ func runDistinctSpansSharded(g *grid.Grid, plan *spanPlan, maxSteps, minVal, sha
 		for w := 0; w < shards-1; w++ {
 			pool.start[w] <- job
 		}
-		part := &sharded.phases[ph][0]
 		a := &pool.arenas[0]
-		swaps := execPhaseSpans(sh, plan.wide, part.spans,
-			a.cur[part.curOff:], a.win[2*ph:2*ph+2], p32, ns32)
+		swaps := execPhaseBands(sh, plan.wide, sharded.phases[ph][0], a.cur, a.win, p32, ns32)
 		for w := 0; w < shards-1; w++ {
 			swaps += <-pool.done
 		}

@@ -13,9 +13,10 @@ import (
 
 // TestShardSpanPlanPartition proves the splitting math directly: for
 // every schedule and several shapes and shard counts, each phase's
-// sub-spans must partition the serial phase's pair set exactly — no pair
-// duplicated or dropped — and every pair's lo cell must lie inside its
-// owning shard's row block.
+// shard bands must partition the serial phase's pair set exactly — no
+// pair duplicated or dropped — every pair's lo cell must lie inside its
+// owning shard's row block, and every shard's cursor slots must tile its
+// arena.
 func TestShardSpanPlanPartition(t *testing.T) {
 	for _, shape := range [][2]int{{4, 4}, {6, 4}, {7, 6}, {9, 8}, {16, 16}, {5, 2}, {7, 5}, {9, 1}} {
 		rows, cols := shape[0], shape[1]
@@ -49,27 +50,25 @@ func TestShardSpanPlanPartition(t *testing.T) {
 						bound[i]++
 					}
 				}
+				for si := 0; si < shards; si++ {
+					checkCursorSlots(t, sp.phases, si, sp.curLen[si], sp.winLen[si])
+				}
 				for pi, ph := range plan.phases {
 					seen := map[[2]int32]int{}
-					for _, s0 := range ph.spans {
-						for k := int32(0); k < s0.pairs; k++ {
-							seen[[2]int32{s0.lo + k, s0.hi + k}]++
-						}
+					for _, p := range bandPairs(ph.bands) {
+						seen[p]++
 					}
 					for si, part := range sp.phases[pi] {
-						for _, s0 := range part.spans {
-							for k := int32(0); k < s0.pairs; k++ {
-								p := [2]int32{s0.lo + k, s0.hi + k}
-								if r := plan.flat(p[0]) / cols; r < bound[si] || r >= bound[si+1] {
-									t.Fatalf("%s %dx%d shards=%d phase %d: pair %v in row %d, outside shard %d rows [%d,%d)",
-										s.Name(), rows, cols, shards, pi, p, r, si, bound[si], bound[si+1])
-								}
-								if seen[p] == 0 {
-									t.Fatalf("%s %dx%d shards=%d phase %d: sharded pair %v not in serial set (or repeated)",
-										s.Name(), rows, cols, shards, pi, p)
-								}
-								seen[p]--
+						for _, p := range bandPairs(part) {
+							if r := plan.flat(p[0]) / cols; r < bound[si] || r >= bound[si+1] {
+								t.Fatalf("%s %dx%d shards=%d phase %d: pair %v in row %d, outside shard %d rows [%d,%d)",
+									s.Name(), rows, cols, shards, pi, p, r, si, bound[si], bound[si+1])
 							}
+							if seen[p] == 0 {
+								t.Fatalf("%s %dx%d shards=%d phase %d: sharded pair %v not in serial set (or repeated)",
+									s.Name(), rows, cols, shards, pi, p)
+							}
+							seen[p]--
 						}
 					}
 					for p, left := range seen {
@@ -114,6 +113,45 @@ func TestShardedMatchesSerialSpan(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// bandPairs lists the shadow pairs (lo, hi) of bands, row by row.
+func bandPairs(bands []band) [][2]int32 {
+	var out [][2]int32
+	for i := range bands {
+		for j := int32(0); j < bands[i].rows; j++ {
+			sp := bands[i].row(j)
+			for k := int32(0); k < sp.pairs; k++ {
+				out = append(out, [2]int32{sp.lo + k, sp.hi + k})
+			}
+		}
+	}
+	return out
+}
+
+// checkCursorSlots requires shard si's bands of every phase to claim
+// every slot of its cursor arrays exactly once: two pair cursors per row
+// in [0, curLen) and two window cursors per band in [0, winLen).
+func checkCursorSlots(t *testing.T, phases [][][]band, si int, curLen, winLen int32) {
+	t.Helper()
+	curSeen := make([]int, curLen)
+	winSeen := make([]int, winLen)
+	for _, parts := range phases {
+		for _, b := range parts[si] {
+			winSeen[b.win]++
+			winSeen[b.win+1]++
+			for c := b.cur; c < b.cur+2*b.rows; c++ {
+				curSeen[c]++
+			}
+		}
+	}
+	for _, seen := range [][]int{curSeen, winSeen} {
+		for i, k := range seen {
+			if k != 1 {
+				t.Fatalf("shard %d: cursor slot %d claimed %d times", si, i, k)
 			}
 		}
 	}

@@ -41,9 +41,10 @@ func checkLossless(t *testing.T, s sched.Schedule, plan *spanPlan) {
 }
 
 // TestSpanPlanShapesRowMajor pins the layout's payoff on RM-RF at 8×8:
-// the even-start row phase is one span from the even half onto the odd
-// half, the fused wrap phase one span of N/2−1 pairs the other way, and
-// each column phase two spans (even and odd columns) per row pair.
+// the even-start row phase is one band of one row from the even half
+// onto the odd half, the fused wrap phase one row of N/2−1 pairs the
+// other way, and each column phase two bands (even and odd columns) of
+// one row per row pair, 16 ranks apart.
 func TestSpanPlanShapesRowMajor(t *testing.T) {
 	s := sched.NewRowMajorRowFirst(8, 8)
 	plan := buildSpanPlan(s, grid.New(8, 8))
@@ -51,60 +52,91 @@ func TestSpanPlanShapesRowMajor(t *testing.T) {
 		t.Fatal("rm-rf has no span plan")
 	}
 	for _, tc := range []struct {
-		phase, spans, pairs int
-		first               span
+		phase int
+		bands []band // the geometry fields; cursor slots are not pinned
 	}{
-		{0, 1, 32, span{lo: 0, hi: 32, pairs: 32}},
-		{1, 8, 4, span{lo: 0, hi: 4, pairs: 4}},
-		{2, 1, 31, span{lo: 32, hi: 1, pairs: 31}},
-		{3, 6, 4, span{lo: 4, hi: 8, pairs: 4}},
+		{0, []band{{span: span{lo: 0, hi: 32, pairs: 32, lr0: 0, dl: 2, hr0: 1, dh: 2}, rows: 1}}},
+		{1, []band{
+			{span: span{lo: 0, hi: 4, pairs: 4, lr0: 0, dl: 2, hr0: 8, dh: 2}, rows: 4, sLo: 8, sHi: 8, rl: 16, rh: 16},
+			{span: span{lo: 32, hi: 36, pairs: 4, lr0: 1, dl: 2, hr0: 9, dh: 2}, rows: 4, sLo: 8, sHi: 8, rl: 16, rh: 16},
+		}},
+		{2, []band{{span: span{lo: 32, hi: 1, pairs: 31, lr0: 1, dl: 2, hr0: 2, dh: 2}, rows: 1}}},
+		{3, []band{
+			{span: span{lo: 4, hi: 8, pairs: 4, lr0: 8, dl: 2, hr0: 16, dh: 2}, rows: 3, sLo: 8, sHi: 8, rl: 16, rh: 16},
+			{span: span{lo: 36, hi: 40, pairs: 4, lr0: 9, dl: 2, hr0: 17, dh: 2}, rows: 3, sLo: 8, sHi: 8, rl: 16, rh: 16},
+		}},
 	} {
-		ph := plan.phases[tc.phase]
-		if len(ph.spans) != tc.spans {
-			t.Fatalf("phase %d: %d spans, want %d", tc.phase, len(ph.spans), tc.spans)
-		}
-		for _, sp := range ph.spans {
-			if int(sp.pairs) != tc.pairs || !sp.affine {
-				t.Fatalf("phase %d: span %+v, want %d affine pairs", tc.phase, sp, tc.pairs)
-			}
-		}
-		if sp := ph.spans[0]; sp.lo != tc.first.lo || sp.hi != tc.first.hi || sp.pairs != tc.first.pairs {
-			t.Fatalf("phase %d: first span %+v, want lo=%d hi=%d pairs=%d",
-				tc.phase, sp, tc.first.lo, tc.first.hi, tc.first.pairs)
-		}
+		checkBands(t, fmt.Sprintf("rm-rf 8x8 phase %d", tc.phase), plan.phases[tc.phase].bands, tc.bands)
 	}
 }
 
 // TestSpanPlanShapesSnakeB pins SN-B at 6×6: the alternating-parity
-// column step — strided in row-major memory — is unit-stride here, one
-// span of three pairs per row pair and column parity; the row step is
-// one span per row, walking up the ranks on forward rows and down them
-// on reverse rows.
+// column step — strided in row-major memory — is two bands (even and odd
+// columns) of three-pair rows; the row step is two bands, the forward
+// rows walking up the ranks and the reverse rows down them.
 func TestSpanPlanShapesSnakeB(t *testing.T) {
 	s := sched.NewSnakeB(6, 6)
 	plan := buildSpanPlan(s, grid.New(6, 6))
 	if plan == nil {
 		t.Fatal("snake-b has no span plan")
 	}
-	col := plan.phases[1]
-	if len(col.spans) != 5 {
-		t.Fatalf("column step: %d spans, want 5", len(col.spans))
-	}
-	for _, sp := range col.spans {
-		if sp.pairs != 3 {
-			t.Fatalf("column step span %+v, want 3 pairs", sp)
+	checkBands(t, "snake-b 6x6 row step", plan.phases[0].bands, []band{
+		{span: span{lo: 4, hi: 21, pairs: 2, lr0: 9, dl: -2, hr0: 10, dh: -2}, rows: 3, sLo: 6, sHi: 6, rl: 12, rh: 12},
+		{span: span{lo: 0, hi: 18, pairs: 3, lr0: 0, dl: 2, hr0: 1, dh: 2}, rows: 3, sLo: 6, sHi: 6, rl: 12, rh: 12},
+	})
+	checkBands(t, "snake-b 6x6 column step", plan.phases[1].bands, []band{
+		{span: span{lo: 21, hi: 24, pairs: 3, lr0: 10, dl: -2, hr0: 13, dh: 2}, rows: 2, sLo: 6, sHi: 6, rl: 12, rh: 12},
+		{span: span{lo: 0, hi: 3, pairs: 3, lr0: 0, dl: 2, hr0: 11, dh: -2}, rows: 3, sLo: 6, sHi: 6, rl: 12, rh: 12},
+	})
+}
+
+// TestSpanPlanBandsPerPhase pins how far the grouping folds every
+// schedule: at sides 6 through 48, odd and even, no phase has more than
+// two bands, and the row-major schedules average 1.5 per phase (their two
+// full-mesh row phases are one row each).
+func TestSpanPlanBandsPerPhase(t *testing.T) {
+	for _, side := range []int{6, 7, 16, 33, 48} {
+		for _, name := range append(sched.Names(), "rm-rf-nowrap") {
+			if strings.HasPrefix(name, "rm-") && side%2 != 0 {
+				continue
+			}
+			s, err := sched.ByName(name, side, side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := buildSpanPlan(s, grid.New(side, side))
+			total := 0
+			for pi, ph := range plan.phases {
+				if len(ph.bands) > 2 {
+					t.Errorf("%s %dx%d phase %d: %d bands", name, side, side, pi, len(ph.bands))
+				}
+				total += len(ph.bands)
+			}
+			want := 2 * len(plan.phases)
+			if strings.HasPrefix(name, "rm-") {
+				want = 3 * len(plan.phases) / 2
+			}
+			if total != want {
+				t.Errorf("%s %dx%d: %d bands over %d phases, want %d", name, side, side, total, len(plan.phases), want)
+			}
 		}
 	}
-	fwd, rev := 0, 0
-	for _, sp := range plan.phases[0].spans {
-		if sp.dl > 0 {
-			fwd++
-		} else if sp.dl < 0 {
-			rev++
-		}
+}
+
+// checkBands compares bands with want on every geometry field.
+func checkBands(t *testing.T, label string, got, want []band) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d bands, want %d: %+v", label, len(got), len(want), got)
 	}
-	if fwd != 3 || rev != 3 {
-		t.Fatalf("row step: %d forward and %d reverse spans, want 3 and 3", fwd, rev)
+	for i := range want {
+		g, w := got[i], want[i]
+		g.cur, g.win = 0, 0
+		w.maxLoRank = max(w.lr0, w.lr0+(w.pairs-1)*w.dl)
+		w.minHiRank = min(w.hr0, w.hr0+(w.pairs-1)*w.dh)
+		if g != w {
+			t.Fatalf("%s band %d: %+v, want %+v", label, i, got[i], w)
+		}
 	}
 }
 
@@ -142,17 +174,23 @@ func TestSpanPlanEligibility(t *testing.T) {
 }
 
 // TestSweep checks the SWAR sweep against a scalar compare-exchange at
-// both cell widths: lanes at 0 and at the largest storable value, equal
-// values (which never swap), every span length from 0 to 9 at aligned
-// and unaligned offsets, and every cell outside the span untouched.
+// both cell widths: one to three rows at unequal strides, every row
+// length from 0 to 9 pairs (which covers rows shorter than a word, whole
+// words, and the overlapped last word), lanes at 0 and at the largest
+// storable value, equal values and equal partners (which never swap),
+// and every cell outside the rows' pairs untouched.
 func TestSweep(t *testing.T) {
-	const cells = 48
+	const cells = 96
 	src := rng.New(0x5EEB)
 	for _, wide := range []bool{false, true} {
 		p := &spanPlan{n: cells, wide: wide}
 		top := uint32(1)<<(8*p.cellSize()-1) - 1
 		for pairs := int32(0); pairs <= 9; pairs++ {
-			for _, ends := range [][2]int32{{0, 24}, {1, 14}, {3, 25}, {30, 5}, {11, 20}} {
+			for _, geom := range [][5]int32{ // lo, hi, rows, sLo, sHi
+				{0, 24, 1, 0, 0}, {1, 14, 1, 0, 0}, {3, 25, 1, 0, 0}, {30, 5, 1, 0, 0}, {11, 20, 1, 0, 0},
+				{0, 48, 2, 10, 11}, {1, 50, 3, 13, 10}, {47, 3, 3, 10, 12}, {2, 13, 3, 23, 22},
+			} {
+				lo, hi, rows, sLo, sHi := geom[0], geom[1], geom[2], geom[3], geom[4]
 				for pattern := 0; pattern < 4; pattern++ {
 					vals := make([]uint32, cells)
 					for i := range vals {
@@ -165,10 +203,11 @@ func TestSweep(t *testing.T) {
 							vals[i] = uint32(rng.Intn(src, int(top)+1))
 						}
 					}
-					lo, hi := ends[0], ends[1]
 					if pattern == 3 { // equal partners
-						for k := int32(0); k < pairs; k++ {
-							vals[hi+k] = vals[lo+k]
+						for j := int32(0); j < rows; j++ {
+							for k := int32(0); k < pairs; k++ {
+								vals[hi+j*sHi+k] = vals[lo+j*sLo+k]
+							}
 						}
 					}
 					sh := unsafe.Pointer(unsafe.SliceData(make([]uint64, p.words())))
@@ -176,14 +215,23 @@ func TestSweep(t *testing.T) {
 						p.set(sh, int32(i), v)
 					}
 					want := 0
-					for k := int32(0); k < pairs; k++ {
-						if a, b := vals[lo+k], vals[hi+k]; a > b {
-							vals[lo+k], vals[hi+k] = b, a
-							want++
+					for j := int32(0); j < rows; j++ {
+						for k := int32(0); k < pairs; k++ {
+							a, b := lo+j*sLo+k, hi+j*sHi+k
+							if vals[a] > vals[b] {
+								vals[a], vals[b] = vals[b], vals[a]
+								want++
+							}
 						}
 					}
-					got := sweep(sh, wide, lo, hi, pairs)
-					label := fmt.Sprintf("%d-bit cells, pairs=%d lo=%d hi=%d pattern %d", 8*p.cellSize(), pairs, lo, hi, pattern)
+					var got int
+					if wide {
+						got = sweep[uint32](sh, lo, hi, pairs, rows, sLo, sHi)
+					} else {
+						got = sweep[uint16](sh, lo, hi, pairs, rows, sLo, sHi)
+					}
+					label := fmt.Sprintf("%d-bit cells, pairs=%d lo=%d hi=%d rows=%d strides %d/%d pattern %d",
+						8*p.cellSize(), pairs, lo, hi, rows, sLo, sHi, pattern)
 					if got != want {
 						t.Fatalf("%s: %d swaps, want %d", label, got, want)
 					}
@@ -194,6 +242,32 @@ func TestSweep(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSpanAllocBudget pins the span kernel's allocations per run at
+// 32×32: the permutation check's bitset, the shadow, and the two cursor
+// arrays — four, whatever the schedule and however many steps it takes.
+func TestSpanAllocBudget(t *testing.T) {
+	for _, name := range []string{"rm-rf", "snake-a", "shearsort"} {
+		s, err := sched.Cached(name, 32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := workload.RandomPermutation(rng.New(5), 32, 32)
+		g := grid.New(32, 32)
+		run := func() {
+			copy(g.Cells(), input.Cells())
+			if _, err := Run(g, s, Options{Kernel: KernelSpan}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the plan cache
+		allocs := testing.AllocsPerRun(10, run)
+		t.Logf("%s 32x32: %.2f allocs per run", name, allocs)
+		if allocs > 4 {
+			t.Errorf("%s 32x32: %.2f allocs per run, budget 4", name, allocs)
 		}
 	}
 }

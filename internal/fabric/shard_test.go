@@ -59,12 +59,13 @@ func TestAutoShardTrials(t *testing.T) {
 
 // TestShardRequestToSpecChecksMesh: a worker refuses a shard whose mesh
 // the algorithm cannot run instead of panicking while building its
-// schedule.
+// schedule, and a shard whose trial range leaves mcbatch.MaxTrialIndex.
 func TestShardRequestToSpecChecksMesh(t *testing.T) {
 	for _, req := range []ShardRequest{
 		{Algorithm: "rm-rf", Rows: 15, Cols: 15, Trials: 64},
 		{Algorithm: "rm-cf", Rows: 8, Cols: 7, Trials: 64},
 		{Algorithm: "snake-a", Rows: 0, Cols: 8, Trials: 64},
+		{Algorithm: "snake-a", Rows: 8, Cols: 8, Trials: 64, TrialOffset: 1<<32 - 63}, // past mcbatch.MaxTrialIndex
 	} {
 		if _, err := req.ToSpec(); err == nil {
 			t.Errorf("%+v: accepted", req)

@@ -86,7 +86,7 @@ func (r ShardRequest) ToSpec() (mcbatch.Spec, error) {
 	if err := alg.CheckMesh(r.Rows, r.Cols); err != nil {
 		return mcbatch.Spec{}, fmt.Errorf("fabric: %w", err)
 	}
-	return mcbatch.Spec{
+	spec := mcbatch.Spec{
 		Algorithm:   alg,
 		Rows:        r.Rows,
 		Cols:        r.Cols,
@@ -95,7 +95,11 @@ func (r ShardRequest) ToSpec() (mcbatch.Spec, error) {
 		Seed:        r.Seed,
 		MaxSteps:    r.MaxSteps,
 		ZeroOne:     r.ZeroOne,
-	}, nil
+	}
+	if err := spec.CheckTrialRange(); err != nil {
+		return mcbatch.Spec{}, fmt.Errorf("fabric: %w", err)
+	}
+	return spec, nil
 }
 
 // WelfordWire is the exact wire form of one stats.Welford accumulator.

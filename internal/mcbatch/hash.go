@@ -69,6 +69,9 @@ func (s Spec) Hash() (Key, error) {
 	if s.TrialOffset < 0 {
 		return Key{}, fmt.Errorf("mcbatch: negative trial offset %d", s.TrialOffset)
 	}
+	if err := s.CheckTrialRange(); err != nil {
+		return Key{}, err
+	}
 
 	h := sha256.New()
 	var buf [8]byte

@@ -181,13 +181,51 @@ type Spec struct {
 }
 
 // DefaultStream is the harness's seeding scheme for square-mesh step
-// measurements: stream = side<<20 | algorithm<<16 | trial. It is part of
-// the recorded-experiment contract (EXPERIMENTS.md tables were generated
-// with it), so it must not change.
+// measurements. Trial i < 65,536 gets stream side<<20 | algorithm<<16 | i.
+// Those ids are part of the recorded-experiment contract (EXPERIMENTS.md
+// tables, the goldens and every stored record were generated with
+// them), so they must not change. Trial i ≥ 65,536 gets
+// 1<<63 | side<<36 | algorithm<<32 | i: the tag bit 63 is clear in every
+// low id, so no later trial reuses an earlier trial's stream. The map is
+// injective in (side, algorithm, i) for sides below 2^27 and trial
+// indices below MaxTrialIndex; CheckTrialRange rejects specs that leave
+// that range.
 func DefaultStream(a core.Algorithm, side int) func(trial int) uint64 {
 	return func(trial int) uint64 {
-		return uint64(side)<<20 | uint64(a)<<16 | uint64(trial)
+		if trial < lowTrials {
+			return uint64(side)<<20 | uint64(a)<<16 | uint64(trial)
+		}
+		return 1<<63 | uint64(side)<<36 | uint64(a)<<32 | uint64(trial)
 	}
+}
+
+const (
+	// MaxTrialIndex bounds the global trial indices a Spec under
+	// DefaultStream may run: TrialOffset+Trials must not exceed it.
+	MaxTrialIndex = 1 << 32
+	// lowTrials is the number of trial indices with the original ids.
+	lowTrials = 1 << 16
+	// maxStreamSide bounds the sides whose trials reach lowTrials.
+	maxStreamSide = 1 << 27
+)
+
+// CheckTrialRange reports an error when s resolves its streams through
+// DefaultStream (Stream is nil) and its global trials
+// [TrialOffset, TrialOffset+Trials) leave the range on which
+// DefaultStream is injective: indices below MaxTrialIndex, and below
+// 65,536 on meshes of 2^27 rows or more. RunCtx and Hash reject such
+// specs, and the service decoders answer them with a 400.
+func (s Spec) CheckTrialRange() error {
+	if s.Stream != nil {
+		return nil
+	}
+	if s.Trials < 0 || s.TrialOffset < 0 || s.TrialOffset > MaxTrialIndex-s.Trials {
+		return fmt.Errorf("mcbatch: trial range [%d,%d) leaves [0,%d)", s.TrialOffset, s.TrialOffset+s.Trials, MaxTrialIndex)
+	}
+	if s.Rows >= maxStreamSide && s.TrialOffset+s.Trials > lowTrials {
+		return fmt.Errorf("mcbatch: trial range [%d,%d) on %d rows leaves [0,%d)", s.TrialOffset, s.TrialOffset+s.Trials, s.Rows, lowTrials)
+	}
+	return nil
 }
 
 // Trial is the outcome of one trial.
@@ -239,6 +277,9 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 	}
 	if spec.TrialOffset < 0 {
 		return nil, fmt.Errorf("mcbatch: negative trial offset %d", spec.TrialOffset)
+	}
+	if err := spec.CheckTrialRange(); err != nil {
+		return nil, err
 	}
 	stream := spec.Stream
 	if stream == nil {

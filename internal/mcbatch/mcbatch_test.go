@@ -233,3 +233,28 @@ func TestRunRejectsOddColumnRowMajor(t *testing.T) {
 		t.Fatalf("snake-a 15x15: %v", err)
 	}
 }
+
+// TestRunAllocBudget pins the permutation path's allocations per trial:
+// a one-worker batch of 64 permutation trials at 32×32 allocates at most
+// six times per trial (the span kernel's four per run, plus the batch's
+// own per-trial and fixed costs). The budget used to live only in the
+// benchbatch CI smoke job.
+func TestRunAllocBudget(t *testing.T) {
+	const trials = 64
+	for _, alg := range []core.Algorithm{core.RowMajorRowFirst, core.SnakeA, core.Shearsort} {
+		spec := Spec{Algorithm: alg, Rows: 32, Cols: 32, Trials: trials, Seed: 3, Workers: 1}
+		if _, err := RunCtx(context.Background(), spec); err != nil { // warm the plan caches
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := RunCtx(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perTrial := allocs / trials
+		t.Logf("%s 32x32: %.2f allocs per trial", alg.ShortName(), perTrial)
+		if perTrial > 6 {
+			t.Errorf("%s 32x32: %.2f allocs per trial, budget 6", alg.ShortName(), perTrial)
+		}
+	}
+}

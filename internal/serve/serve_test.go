@@ -677,6 +677,31 @@ func TestMeshLimitsDoNotOverflow(t *testing.T) {
 	}
 }
 
+// TestTrialRangeRejected: a trial range past mcbatch.MaxTrialIndex
+// would leave the range on which every trial gets its own random
+// stream; the job, campaign and fabric-shard decoders answer it with 400.
+func TestTrialRangeRejected(t *testing.T) {
+	if _, err := (JobRequest{Algorithm: "snake-a", Side: 8, Trials: 1, TrialOffset: 1 << 32}).ToSpec(Limits{}); err == nil {
+		t.Fatal("ToSpec accepted trial_offset 2^32")
+	}
+	st := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	s, ts := storedServer(st, Config{})
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"algorithm":"snake-a","side":8,"trials":1,"trial_offset":4294967296}`},
+		{"/v1/campaigns", `{"algorithms":["snake-a"],"sides":[8],"trials":[4294967297]}`},
+		{"/v1/fabric/shard", `{"algorithm":"snake-a","rows":8,"cols":8,"trials":1,"trial_offset":4294967296}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			resp, buf := postJSON(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(buf), "trial range") {
+				t.Errorf("got %d %s, want 400 naming the trial range", resp.StatusCode, buf)
+			}
+		})
+	}
+}
+
 // TestOddColumnRowMajorRejected: the row-major algorithms need an even
 // column count; every entry point answers 400 rather than letting the
 // schedule constructor panic on a worker or runner goroutine.

@@ -114,7 +114,7 @@ func (r JobRequest) ToSpec(lim Limits) (mcbatch.Spec, error) {
 	if r.Shards < 0 {
 		return mcbatch.Spec{}, fmt.Errorf("shards must be >= 0 (got %d)", r.Shards)
 	}
-	return mcbatch.Spec{
+	spec := mcbatch.Spec{
 		Algorithm:   alg,
 		Rows:        rows,
 		Cols:        cols,
@@ -125,5 +125,9 @@ func (r JobRequest) ToSpec(lim Limits) (mcbatch.Spec, error) {
 		ZeroOne:     r.ZeroOne,
 		Kernel:      kernel,
 		Shards:      r.Shards,
-	}, nil
+	}
+	if err := spec.CheckTrialRange(); err != nil {
+		return mcbatch.Spec{}, err
+	}
+	return spec, nil
 }
