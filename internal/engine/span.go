@@ -70,10 +70,10 @@ const (
 // destination ranks are affine along the span — pair k's min destination
 // is lr0 + k·dl and its max destination hr0 + k·dh. For the six
 // schedules a span walks one row or row pair two columns at a time, and
-// rows occupy consecutive ranks in each target order; buildSpanPlan cuts
-// every run where its ranks leave their pitch, so every span of every
-// schedule is affine. A span of more than one pair never has zero pitch,
-// because ranks are distinct.
+// rows occupy consecutive ranks in each target order. buildSpanPlan cuts
+// every run where its ranks leave their pitch, so every span is affine
+// whatever the schedule. A span of more than one pair never has zero
+// pitch, because ranks are distinct.
 type span struct {
 	lo, hi  int32 // shadow cells of pair 0: min and max destination
 	pairs   int32
@@ -524,16 +524,16 @@ func sweep[T uint16 | uint32](sh unsafe.Pointer, lo, hi, pairs, rows, sLo, sHi i
 	return int(acc * (high >> top) >> (63 - top))
 }
 
-// sweepRow compare-exchanges the bytes ≥ 8 bytes of cells at a with
-// those at b, word by word, and returns the lane-wise swap marks summed
-// per lane (see sweep). When bytes is not a whole number of words, the
-// last word is swept first, overlapping the word before it, and then
-// the words from the start. Compare-exchange is idempotent and an
-// ordered pair never swaps, so the overlapped pairs are neither changed
-// nor counted twice, and no store leaves the row, which the sharded
-// executor needs because shards sweep concurrently. Sweeping the
-// overlapped word first keeps it from reloading bytes just stored at
-// another alignment.
+// sweepRow compare-exchanges one row — the cells in the first bytes ≥ 8
+// bytes at a against those at b — word by word, and returns the swap
+// marks summed per lane (see sweep). When bytes is not a whole number of
+// words, the last word is swept first, overlapping the word before it,
+// and then the words from the start. Compare-exchange is idempotent and
+// an ordered pair never swaps, so the overlapped pairs are neither
+// changed nor counted twice, and no store leaves the row, which the
+// sharded executor needs because shards sweep concurrently. Sweeping the
+// overlapped word first keeps the word before it from loading bytes just
+// stored at another alignment.
 //
 //meshlint:hot
 func sweepRow[T uint16 | uint32](a, b unsafe.Pointer, bytes uintptr) uint64 {
@@ -628,9 +628,10 @@ func execBands[T uint16 | uint32](sh unsafe.Pointer, bands []band, cur, win []in
 // destination is already in the settled prefix (lr < p) or whose max
 // destination is in the settled suffix (hr >= n−s) cannot swap — the
 // same rule runDistinctLazy trims by. Affine ranks put all such pairs at
-// the row's ends, one end per sign of the pitch; a zero pitch trims
-// nothing. The settled windows only grow, so the cursors only advance
-// and the trims are amortized O(1) over a run.
+// the row's ends, one end per sign of the pitch (a one-pair row has zero
+// pitch and is left to the row window). The settled windows only grow,
+// so the cursors only advance and the trims are amortized O(1) over a
+// run.
 //
 //meshlint:hot
 func trim(b *band, cur []int32, j, p32, ns32 int32) (int32, int32) {

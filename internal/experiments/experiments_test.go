@@ -53,9 +53,9 @@ func TestByID(t *testing.T) {
 // committed digest in testdata/quick_digests.json. The digests pin what
 // the EXPERIMENTS.md numbers are computed from — most experiments measure
 // permutation steps through the span kernel — so a kernel change that
-// moves one table cell fails here. The suite runs once per trial-worker
-// count, 1 and 2, and both must reproduce the digests. A difference is a
-// behaviour change: regenerate with
+// moves one table cell fails here. Each experiment's subtest runs it once
+// per trial-worker count, 1 and 2, and both must reproduce the digest. A
+// difference is a behaviour change: regenerate with
 // `go test ./internal/experiments/ -run TestAllExperimentsQuick -update`
 // and record it in CHANGES.md.
 func TestAllExperimentsQuick(t *testing.T) {
@@ -73,44 +73,46 @@ func TestAllExperimentsQuick(t *testing.T) {
 		}
 	}
 	got := map[string]string{}
-	for _, workers := range []int{1, 2} {
-		for _, e := range All() {
-			e := e
-			t.Run(fmt.Sprintf("%s/workers=%d", e.ID, workers), func(t *testing.T) {
-				out, err := e.Run(Config{Seed: 7, Quick: true, TrialWorkers: workers})
-				if err != nil {
-					t.Fatalf("%s: %v", e.ID, err)
-				}
-				if out.ID != e.ID {
-					t.Fatalf("outcome id %q != %q", out.ID, e.ID)
-				}
-				if len(out.Tables) == 0 {
-					t.Fatalf("%s produced no tables", e.ID)
-				}
-				if !out.OK {
-					t.Fatalf("%s claims failed:\n%s", e.ID, strings.Join(out.Notes, "\n"))
-				}
-				h := sha256.New()
-				for _, tb := range out.Tables {
-					if len(tb.Rows) == 0 {
-						t.Fatalf("%s: empty table %q", e.ID, tb.Title)
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					out, err := e.Run(Config{Seed: 7, Quick: true, TrialWorkers: workers})
+					if err != nil {
+						t.Fatalf("%s: %v", e.ID, err)
 					}
-					rendered := tb.String()
-					if rendered == "" {
-						t.Fatalf("%s: table failed to render", e.ID)
+					if out.ID != e.ID {
+						t.Fatalf("outcome id %q != %q", out.ID, e.ID)
 					}
-					h.Write([]byte(rendered))
-				}
-				sum := hex.EncodeToString(h.Sum(nil))
-				if prev, ok := got[e.ID]; ok && prev != sum {
-					t.Fatalf("%s: tables differ between trial-worker counts: %s vs %s", e.ID, prev, sum)
-				}
-				got[e.ID] = sum
-				if want != nil && want[e.ID] != sum {
-					t.Errorf("%s: tables sha256 %s, golden %s", e.ID, sum, want[e.ID])
-				}
-			})
-		}
+					if len(out.Tables) == 0 {
+						t.Fatalf("%s produced no tables", e.ID)
+					}
+					if !out.OK {
+						t.Fatalf("%s claims failed:\n%s", e.ID, strings.Join(out.Notes, "\n"))
+					}
+					h := sha256.New()
+					for _, tb := range out.Tables {
+						if len(tb.Rows) == 0 {
+							t.Fatalf("%s: empty table %q", e.ID, tb.Title)
+						}
+						rendered := tb.String()
+						if rendered == "" {
+							t.Fatalf("%s: table failed to render", e.ID)
+						}
+						h.Write([]byte(rendered))
+					}
+					sum := hex.EncodeToString(h.Sum(nil))
+					if prev, ok := got[e.ID]; ok && prev != sum {
+						t.Fatalf("%s: tables differ between trial-worker counts: %s vs %s", e.ID, prev, sum)
+					}
+					got[e.ID] = sum
+					if want != nil && want[e.ID] != sum {
+						t.Errorf("%s: tables sha256 %s, golden %s", e.ID, sum, want[e.ID])
+					}
+				})
+			}
+		})
 	}
 	if *updateQuickDigests {
 		buf, err := json.MarshalIndent(got, "", "  ")
