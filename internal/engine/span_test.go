@@ -272,6 +272,34 @@ func TestSpanAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCellwiseAllocBudget pins the engine's allocations per run on the
+// paper's half-0/half-1 inputs at 32×32 (the cellwise 0-1 path: a 0-1
+// grid is no permutation, so the generic comparator loop serves it) at
+// eight, whatever the schedule. The budget used to live only in the
+// benchbatch CI smoke job.
+func TestCellwiseAllocBudget(t *testing.T) {
+	for _, name := range []string{"rm-rf", "snake-a", "shearsort"} {
+		s, err := sched.Cached(name, 32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := workload.HalfZeroOne(rng.New(5), 32, 32)
+		g := grid.New(32, 32)
+		run := func() {
+			copy(g.Cells(), input.Cells())
+			if _, err := Run(g, s, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		allocs := testing.AllocsPerRun(10, run)
+		t.Logf("%s 32x32: %.2f allocs per run", name, allocs)
+		if allocs > 8 {
+			t.Errorf("%s 32x32: %.2f allocs per run, budget 8", name, allocs)
+		}
+	}
+}
+
 // FuzzSpanPlan feeds buildSpanPlan random disjoint adjacent-pair
 // phases. A monotone schedule must get a lossless plan whose serial and
 // sharded runs match the generic executor exactly on a permutation —

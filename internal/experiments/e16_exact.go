@@ -21,6 +21,21 @@ func init() {
 	})
 }
 
+// e16Worst is each algorithm's exact 4×4 worst case, and e16StepTotals
+// the sum of the step counts over all permutations of a side-2 or
+// side-3 mesh (the exact mean is that total over side²!). They were
+// computed by this experiment's enumerations and are pinned exactly.
+var (
+	e16Worst = map[core.Algorithm]int{
+		core.RowMajorRowFirst: 23, core.RowMajorColFirst: 24,
+		core.SnakeA: 27, core.SnakeB: 29, core.SnakeC: 29, core.Shearsort: 18,
+	}
+	e16StepTotals = map[int]map[core.Algorithm]int{
+		2: {core.RowMajorRowFirst: 59, core.RowMajorColFirst: 59, core.SnakeA: 101, core.SnakeB: 125, core.SnakeC: 99},
+		3: {core.SnakeA: 4_029_359, core.SnakeB: 4_499_191, core.SnakeC: 4_870_807},
+	}
+)
+
 func runE16(cfg Config) (*Outcome, error) {
 	o := newOutcome("E16", "exact small-mesh analysis")
 
@@ -47,12 +62,12 @@ func runE16(cfg Config) (*Outcome, error) {
 				return nil, err
 			}
 			zcSteps = res.Steps
-			bound := analysis.Corollary1WorstCase(16, 4)
-			o.check(worst >= bound, "%s: exact worst %d below Corollary 1 bound %d", alg.ShortName(), worst, bound)
-			t.AddRow(alg.ShortName(), worst, float64(worst)/16, bound, zcSteps)
+			t.AddRow(alg.ShortName(), worst, float64(worst)/16, analysis.Corollary1WorstCase(16, 4), zcSteps)
 		} else {
 			t.AddRow(alg.ShortName(), worst, float64(worst)/16, "—", "—")
 		}
+		want, ok := e16Worst[alg]
+		o.check(ok && worst == want, "%s: exact worst %d, pinned %d", alg.ShortName(), worst, want)
 		o.check(witness != nil, "%s: no worst-case witness", alg.ShortName())
 	}
 	o.Tables = append(o.Tables, t)
@@ -84,7 +99,9 @@ func runE16(cfg Config) (*Outcome, error) {
 			}
 			mean := float64(total) / float64(len(perms))
 			t2.AddRow(fmt.Sprintf("%d×%d", j.side, j.side), len(perms), alg.ShortName(), mean, mean/float64(n))
-			o.check(mean > 0, "%s side %d: exact mean is zero", alg.ShortName(), j.side)
+			want, ok := e16StepTotals[j.side][alg]
+			o.check(ok && total == want, "%s side %d: step total over all %d permutations %d, pinned %d",
+				alg.ShortName(), j.side, len(perms), total, want)
 		}
 	}
 	o.Tables = append(o.Tables, t2)

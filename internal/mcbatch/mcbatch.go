@@ -15,9 +15,10 @@
 //     64-trial slice, merged in slice order (stats.MergeAll), so the
 //     floating-point aggregate is deterministic for every worker count
 //     and kernel family.
-//   - Workers reuse their scratch buffers (input grid, trial slice)
-//     across the trials they claim, so the steady-state trial loop
-//     allocates nothing per trial for the canonical workloads.
+//   - Workers reuse their scratch (generator, input grid or packed
+//     lanes, trial slice) across the trials they claim, so the
+//     steady-state trial loop allocates nothing per trial for the
+//     canonical workloads.
 //   - Executor selection goes through the kernel registry and tuner
 //     (internal/kernels): Spec.Kernel pins a family that serves the
 //     batch's workload class; otherwise the $MESHSORT_KERNEL override, a
@@ -296,8 +297,9 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 	seed := CanonicalSeed(spec.Seed)
 
 	// Resolve the generator. The canonical workloads (nil Gen) fill a
-	// reusable per-worker grid in place; a custom Gen keeps its
-	// allocate-per-trial contract.
+	// reusable per-worker grid in place, except that the trial-sliced
+	// runner draws canonical 0-1 inputs packed (drawCanonical); a custom
+	// Gen keeps its allocate-per-trial contract.
 	gen := spec.Gen
 	var genInto func(src rng.Source, g *grid.Grid)
 	if gen == nil {
@@ -316,8 +318,18 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 		}
 		g := gen(src, spec.TrialOffset+i)
 		if g.Rows() != spec.Rows || g.Cols() != spec.Cols {
-			return nil, fmt.Errorf("mcbatch: Gen produced a %dx%d grid for a %dx%d batch",
-				g.Rows(), g.Cols(), spec.Rows, spec.Cols)
+			return nil, fmt.Errorf("mcbatch: trial %d: Gen produced a %dx%d grid for a %dx%d batch",
+				i, g.Rows(), g.Cols(), spec.Rows, spec.Cols)
+		}
+		if spec.ZeroOne {
+			// Every 0-1 kernel assumes 0-1 cells; the trial-sliced one would
+			// panic on a worker goroutine, out of any caller's reach.
+			for f, v := range g.Cells() {
+				if v != 0 && v != 1 {
+					return nil, fmt.Errorf("mcbatch: trial %d: Gen produced %d at cell (%d,%d) of a ZeroOne batch",
+						i, v, f/spec.Cols, f%spec.Cols)
+				}
+			}
 		}
 		return g, nil
 	}
@@ -460,6 +472,7 @@ func runEngine(kern core.Kernel) runner {
 type shardScratch struct {
 	pool *engine.ShardPool
 	buf  *grid.Grid
+	src  rng.PCG64
 }
 
 // runSpanSharded executes a permutation batch through the sharded span
@@ -484,8 +497,8 @@ func runSpanSharded(ctx context.Context, spec Spec, seed uint64, stream func(int
 			}
 		},
 		func(st *shardScratch, i int) (Trial, error) {
-			src := rng.NewStream(seed, stream(i))
-			g, err := makeInput(src, st.buf, i)
+			st.src.SeedStream(seed, stream(i))
+			g, err := makeInput(&st.src, st.buf, i)
 			if err != nil {
 				return Trial{}, err
 			}
@@ -503,6 +516,13 @@ func runSpanSharded(ctx context.Context, spec Spec, seed uint64, stream func(int
 		func(st *shardScratch) { st.pool.Close() })
 }
 
+// trialScratch is one worker's reusable state for the per-trial runners:
+// the input grid and the generator each trial reseeds to its own stream.
+type trialScratch struct {
+	buf *grid.Grid
+	src rng.PCG64
+}
+
 // runPerTrial executes one trial per grid through sort, with a per-worker
 // reusable input buffer.
 func runPerTrial(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
@@ -510,10 +530,10 @@ func runPerTrial(ctx context.Context, spec Spec, seed uint64, stream func(int) u
 	sort func(*grid.Grid) (engine.Result, error)) ([]Trial, error) {
 	name := spec.Algorithm.ShortName()
 	return mapWorkers(ctx, spec.Workers, spec.Trials,
-		func() *grid.Grid { return grid.New(spec.Rows, spec.Cols) },
-		func(buf *grid.Grid, i int) (Trial, error) {
-			src := rng.NewStream(seed, stream(i))
-			g, err := makeInput(src, buf, i)
+		func() *trialScratch { return &trialScratch{buf: grid.New(spec.Rows, spec.Cols)} },
+		func(sc *trialScratch, i int) (Trial, error) {
+			sc.src.SeedStream(seed, stream(i))
+			g, err := makeInput(&sc.src, sc.buf, i)
 			if err != nil {
 				return Trial{}, err
 			}
@@ -527,10 +547,37 @@ func runPerTrial(ctx context.Context, spec Spec, seed uint64, stream func(int) u
 }
 
 // slicedScratch is one worker's reusable state for the trial-sliced
-// kernel: the 64-lane slice buffer and the grid the generator fills.
+// kernel: the 64-lane slice buffer, the generator each trial reseeds,
+// and the byte-per-cell shuffle buffer and 64 packed lanes that canonical
+// inputs are drawn into.
 type slicedScratch struct {
-	ts  *zeroone.TrialSlice
-	buf *grid.Grid
+	ts     *zeroone.TrialSlice
+	src    rng.PCG64
+	cells  []byte
+	packed []uint64
+}
+
+func newSlicedScratch(rows, cols int) *slicedScratch {
+	ts := zeroone.NewTrialSlice(rows, cols)
+	return &slicedScratch{
+		ts:     ts,
+		cells:  make([]byte, rows*cols),
+		packed: make([]uint64, 64*ts.PackedWords()),
+	}
+}
+
+// drawCanonical fills sc.ts with the canonical inputs of trials [lo, hi),
+// hi − lo ≤ 64: each trial's half-0/half-1 grid is drawn from its own
+// stream straight into a packed lane (workload.HalfZeroOnePacked), and
+// the lanes are transposed into the slice 64×64 bits at a time. The
+// words equal those of HalfZeroOneInto and AddGrid, with no int grid.
+func (sc *slicedScratch) drawCanonical(seed uint64, stream func(int) uint64, lo, hi int) {
+	nw := sc.ts.PackedWords()
+	for k := 0; k < hi-lo; k++ {
+		sc.src.SeedStream(seed, stream(lo+k))
+		workload.HalfZeroOnePacked(&sc.src, sc.cells, sc.packed[k*nw:(k+1)*nw])
+	}
+	sc.ts.FillPacked(sc.packed, hi-lo)
 }
 
 // runSliced executes a ZeroOne batch through the trial-sliced kernel:
@@ -546,25 +593,26 @@ func runSliced(ctx context.Context, spec Spec, seed uint64, stream func(int) uin
 	if err != nil {
 		return nil, err
 	}
+	canonical := spec.Gen == nil
 	blocks := (spec.Trials + 63) / 64
 	blockTrials, err := mapWorkers(ctx, spec.Workers, blocks,
-		func() *slicedScratch {
-			return &slicedScratch{
-				ts:  zeroone.NewTrialSlice(spec.Rows, spec.Cols),
-				buf: grid.New(spec.Rows, spec.Cols),
-			}
-		},
+		func() *slicedScratch { return newSlicedScratch(spec.Rows, spec.Cols) },
 		func(sc *slicedScratch, b int) ([]Trial, error) {
 			lo := b * 64
 			hi := min(lo+64, spec.Trials)
-			sc.ts.Reset()
-			for i := lo; i < hi; i++ {
-				src := rng.NewStream(seed, stream(i))
-				g, err := makeInput(src, sc.buf, i)
-				if err != nil {
-					return nil, err
+			if canonical {
+				sc.drawCanonical(seed, stream, lo, hi)
+			} else {
+				sc.ts.Reset()
+				for i := lo; i < hi; i++ {
+					sc.src.SeedStream(seed, stream(i))
+					// A custom Gen allocates its own grid; no buffer needed.
+					g, err := makeInput(&sc.src, nil, i)
+					if err != nil {
+						return nil, err
+					}
+					sc.ts.AddGrid(g)
 				}
-				sc.ts.AddGrid(g)
 			}
 			results, errs, err := zeroone.SortSliced(sc.ts, ss, spec.MaxSteps)
 			if err != nil {

@@ -234,27 +234,46 @@ func TestRunRejectsOddColumnRowMajor(t *testing.T) {
 	}
 }
 
-// TestRunAllocBudget pins the permutation path's allocations per trial:
-// a one-worker batch of 64 permutation trials at 32×32 allocates at most
-// six times per trial (the span kernel's four per run, plus the batch's
-// own per-trial and fixed costs). The budget used to live only in the
+// TestRunAllocBudget pins the batch path's allocations per trial on one
+// worker. A batch of 64 permutation trials at 32×32 allocates at most six
+// times per trial under the span kernel (its four per run, plus the
+// batch's own per-trial and fixed costs) and at most 16 under the
+// generic kernel. A ZeroOne batch of 256 trials at 32×32 and 64×64
+// allocates at most 0.25 times per trial: the trial-sliced kernel's few
+// allocations per 64-lane block, and no generator or grid per trial
+// (-short keeps only 32×32). The budgets used to live only in the
 // benchbatch CI smoke job.
 func TestRunAllocBudget(t *testing.T) {
-	const trials = 64
+	type budget struct {
+		spec     Spec
+		perTrial float64
+	}
+	var cases []budget
 	for _, alg := range []core.Algorithm{core.RowMajorRowFirst, core.SnakeA, core.Shearsort} {
-		spec := Spec{Algorithm: alg, Rows: 32, Cols: 32, Trials: trials, Seed: 3, Workers: 1}
-		if _, err := RunCtx(context.Background(), spec); err != nil { // warm the plan caches
-			t.Fatal(err)
+		cases = append(cases,
+			budget{Spec{Algorithm: alg, Rows: 32, Cols: 32, Trials: 64, Kernel: core.KernelSpan}, 6},
+			budget{Spec{Algorithm: alg, Rows: 32, Cols: 32, Trials: 64, Kernel: core.KernelGeneric}, 16})
+		for _, side := range []int{32, 64} {
+			if side > 32 && testing.Short() {
+				continue
+			}
+			cases = append(cases, budget{Spec{Algorithm: alg, Rows: side, Cols: side, Trials: 256,
+				ZeroOne: true, Kernel: core.KernelSliced}, 0.25})
 		}
-		allocs := testing.AllocsPerRun(3, func() {
+	}
+	for _, c := range cases {
+		spec := c.spec
+		spec.Seed, spec.Workers = 3, 1
+		name := fmt.Sprintf("%s %dx%d %s", spec.Algorithm.ShortName(), spec.Rows, spec.Cols, core.KernelName(spec.Kernel))
+		allocs := testing.AllocsPerRun(3, func() { // its first, uncounted run warms the plan caches
 			if _, err := RunCtx(context.Background(), spec); err != nil {
 				t.Fatal(err)
 			}
 		})
-		perTrial := allocs / trials
-		t.Logf("%s 32x32: %.2f allocs per trial", alg.ShortName(), perTrial)
-		if perTrial > 6 {
-			t.Errorf("%s 32x32: %.2f allocs per trial, budget 6", alg.ShortName(), perTrial)
+		perTrial := allocs / float64(spec.Trials)
+		t.Logf("%s: %.3f allocs per trial", name, perTrial)
+		if perTrial > c.perTrial {
+			t.Errorf("%s: %.3f allocs per trial, budget %g", name, perTrial, c.perTrial)
 		}
 	}
 }

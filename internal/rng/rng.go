@@ -77,33 +77,74 @@ func New(seed uint64) *PCG64 {
 // with the same seed but different streams produce uncorrelated sequences,
 // which the parallel harness uses to give each trial its own source.
 func NewStream(seed, stream uint64) *PCG64 {
+	p := &PCG64{}
+	p.SeedStream(seed, stream)
+	return p
+}
+
+// SeedStream resets p in place to the generator NewStream(seed, stream)
+// returns, so a caller that owns a PCG64 can start each trial's stream
+// without a heap allocation.
+func (p *PCG64) SeedStream(seed, stream uint64) {
 	sm := NewSplitMix64(seed)
 	st := NewSplitMix64(stream ^ 0xda3e39cb94b95bdb)
-	p := &PCG64{}
 	p.incHi = st.Uint64()
 	p.incLo = st.Uint64() | 1
 	p.hi = sm.Uint64()
 	p.lo = sm.Uint64()
 	p.step()
-	return p
+}
+
+// pcgStep returns the 128-bit LCG state after (hi, lo):
+// (hi,lo)*mul + inc over 128 bits.
+func pcgStep(hi, lo, incHi, incLo uint64) (uint64, uint64) {
+	carryHi, carryLo := bits.Mul64(lo, pcgMulLo)
+	carryHi += hi*pcgMulLo + lo*pcgMulHi
+	lo, c := bits.Add64(carryLo, incLo, 0)
+	hi, _ = bits.Add64(carryHi, incHi, c)
+	return hi, lo
+}
+
+// pcgOutput is the output permutation: xor-fold the state, then rotate
+// by its top bits.
+func pcgOutput(hi, lo uint64) uint64 {
+	return bits.RotateLeft64(hi^lo, -int(hi>>58))
 }
 
 // step advances the 128-bit LCG state.
 func (p *PCG64) step() {
-	// (hi,lo) = (hi,lo)*mul + inc over 128 bits.
-	carryHi, carryLo := bits.Mul64(p.lo, pcgMulLo)
-	carryHi += p.hi*pcgMulLo + p.lo*pcgMulHi
-	lo, c := bits.Add64(carryLo, p.incLo, 0)
-	hi, _ := bits.Add64(carryHi, p.incHi, c)
-	p.hi, p.lo = hi, lo
+	p.hi, p.lo = pcgStep(p.hi, p.lo, p.incHi, p.incLo)
 }
 
 // Uint64 returns the next value of the sequence.
 func (p *PCG64) Uint64() uint64 {
-	// Output permutation: xor-fold the state then rotate by the top bits.
-	out := bits.RotateLeft64(p.hi^p.lo, -int(p.hi>>58))
+	out := pcgOutput(p.hi, p.lo)
 	p.step()
 	return out
+}
+
+// ShuffleBytes permutes b exactly as Shuffle(p, ·) would permute an []int
+// of the same length: it draws the same values, Lemire's rejection
+// resamples included, and leaves p in the same state. The 128-bit state
+// stays in locals for the whole loop instead of going through the Source
+// interface once per draw.
+func (p *PCG64) ShuffleBytes(b []byte) {
+	hi, lo, incHi, incLo := p.hi, p.lo, p.incHi, p.incLo
+	for i := len(b) - 1; i > 0; i-- {
+		un := uint64(i + 1)
+		j, frac := bits.Mul64(pcgOutput(hi, lo), un)
+		hi, lo = pcgStep(hi, lo, incHi, incLo)
+		if frac < un {
+			// Rejection zone: resample as Intn does.
+			thresh := (-un) % un
+			for frac < thresh {
+				j, frac = bits.Mul64(pcgOutput(hi, lo), un)
+				hi, lo = pcgStep(hi, lo, incHi, incLo)
+			}
+		}
+		b[i], b[j] = b[j], b[i]
+	}
+	p.hi, p.lo = hi, lo
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0. Lemire's

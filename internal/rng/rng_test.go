@@ -198,3 +198,83 @@ func BenchmarkPerm1024(b *testing.B) {
 		Perm(s, out)
 	}
 }
+
+// shuffleMatches checks that p.ShuffleBytes permutes n distinct bytes
+// exactly as Shuffle permutes n distinct ints from a copy of p, and
+// leaves p in the same state.
+func shuffleMatches(t *testing.T, p PCG64, n int) {
+	t.Helper()
+	q := p
+	ints := make([]int, n)
+	bytes := make([]byte, n)
+	for i := range ints {
+		ints[i] = i
+		bytes[i] = byte(i)
+	}
+	Shuffle(&q, ints)
+	p.ShuffleBytes(bytes)
+	for i := range ints {
+		if int(bytes[i]) != ints[i] {
+			t.Fatalf("n=%d: ShuffleBytes = %v, Shuffle = %v", n, bytes, ints)
+		}
+	}
+	if p != q {
+		t.Fatalf("n=%d: state after ShuffleBytes %+v, after Shuffle %+v", n, p, q)
+	}
+}
+
+// TestShuffleBytesMatchesShuffle pins ShuffleBytes to Shuffle's draws on
+// many streams and lengths, up to 256 distinct bytes.
+func TestShuffleBytesMatchesShuffle(t *testing.T) {
+	for n := 0; n <= 256; n++ {
+		for stream := uint64(0); stream < 4; stream++ {
+			shuffleMatches(t, *NewStream(uint64(n), stream), n)
+		}
+	}
+}
+
+// TestShuffleBytesRejection drives Lemire's rejection branch: a state with
+// hi == lo outputs 0, and 0·3 leaves a low product 0 below 2^64 mod 3 = 1,
+// so the first draw for n = 3 must be resampled.
+func TestShuffleBytesRejection(t *testing.T) {
+	p := PCG64{hi: 0x0123456789abcdef, lo: 0x0123456789abcdef, incHi: 7, incLo: 0x9e3779b97f4a7c15}
+	q, r := p, p
+	if v := q.Uint64(); v != 0 {
+		t.Fatalf("crafted state outputs %#x, want 0", v)
+	}
+	q.Uint64()
+	if Intn(&r, 3); r != q {
+		t.Fatal("Intn(3) on the crafted state did not draw exactly twice")
+	}
+	shuffleMatches(t, p, 3)
+}
+
+// TestSeedStreamMatchesNewStream: reseeding in place yields NewStream's
+// generator, whatever state it held before.
+func TestSeedStreamMatchesNewStream(t *testing.T) {
+	p := *New(99)
+	for _, c := range [][2]uint64{{1, 0x800000}, {7919, 1<<63 | 48<<36 | 2<<32 | 70000}, {0, 0}} {
+		p.SeedStream(c[0], c[1])
+		if want := NewStream(c[0], c[1]); p != *want {
+			t.Fatalf("SeedStream(%d, %#x) = %+v, want %+v", c[0], c[1], p, *want)
+		}
+	}
+}
+
+func BenchmarkShuffle1024(b *testing.B) {
+	s := New(1)
+	p := make([]int, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Shuffle(s, p)
+	}
+}
+
+func BenchmarkShuffleBytes1024(b *testing.B) {
+	s := New(1)
+	p := make([]byte, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ShuffleBytes(p)
+	}
+}

@@ -5,6 +5,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/grid"
@@ -70,6 +71,38 @@ func HalfZeroOne(src rng.Source, rows, cols int) *grid.Grid {
 // buffer reuse. It draws exactly the values HalfZeroOne draws.
 func HalfZeroOneInto(src rng.Source, g *grid.Grid) {
 	RandomZeroOneInto(src, g, (g.Len()+1)/2)
+}
+
+// HalfZeroOnePacked draws exactly the grid HalfZeroOneInto draws from p
+// for a mesh of len(cells) cells and stores it packed: bit f%64 of
+// out[f/64] is cell f's value. cells is scratch, one byte per cell, and
+// out must hold (len(cells)+63)/64 words; bits past the last cell are
+// zero. It builds no int grid: the shuffle runs on bytes with p's state
+// in locals, then every 8 bytes fold into one byte of a word with a
+// multiply.
+func HalfZeroOnePacked(p *rng.PCG64, cells []byte, out []uint64) {
+	n := len(cells)
+	alpha := (n + 1) / 2
+	clear(cells[:alpha])
+	for i := alpha; i < n; i++ {
+		cells[i] = 1
+	}
+	p.ShuffleBytes(cells)
+	out = out[:(n+63)/64]
+	for w := range out {
+		chunk := cells[w*64 : min(w*64+64, n)]
+		var word uint64
+		k := 0
+		for ; k+8 <= len(chunk); k += 8 {
+			// The bytes are 0 or 1, so the partial products never
+			// overlap, and bit j of the product's top byte is byte j.
+			word |= binary.LittleEndian.Uint64(chunk[k:]) * 0x0102040810204080 >> 56 << k
+		}
+		for ; k < len(chunk); k++ {
+			word |= uint64(chunk[k]) << k
+		}
+		out[w] = word
+	}
 }
 
 // AllZeroColumn returns the 0-1 mesh of Corollary 1: column col consists

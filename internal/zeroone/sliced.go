@@ -110,6 +110,56 @@ func (ts *TrialSlice) AddGrid(g *grid.Grid) int {
 	return lane
 }
 
+// PackedWords returns the number of words one lane takes in FillPacked's
+// input: ⌈rows·cols/64⌉.
+//
+//meshlint:hot
+func (ts *TrialSlice) PackedWords() int { return (len(ts.words) + 63) >> 6 }
+
+// FillPacked replaces the batch with lanes packed 0-1 grids. Lane k's grid
+// is packed[k·W : (k+1)·W], W = PackedWords(), with bit f%64 of its word
+// f/64 holding cell f; bits past the last cell are ignored. The result
+// equals Reset followed by AddGrid of each lane's grid in lane order, and
+// lanes lanes..63 are zero. Each 64-cell block of the lanes is one 64×64
+// bit transpose instead of 64 cell-by-cell passes. It panics unless
+// 0 ≤ lanes ≤ 64 and packed holds lanes·W words.
+//
+//meshlint:hot
+func (ts *TrialSlice) FillPacked(packed []uint64, lanes int) {
+	nw := ts.PackedWords()
+	if lanes < 0 || lanes > 64 || len(packed) < lanes*nw {
+		panic("zeroone: FillPacked lane count or buffer out of range")
+	}
+	var a [64]uint64
+	for b := 0; b < nw; b++ {
+		for k := 0; k < lanes; k++ {
+			a[k] = packed[k*nw+b]
+		}
+		clear(a[lanes:])
+		transpose64(&a)
+		copy(ts.words[b<<6:], a[:])
+	}
+	ts.lanes = lanes
+}
+
+// transpose64 transposes the 64×64 bit matrix a in place: bit c of a[r]
+// becomes bit r of a[c]. Each round swaps the off-diagonal j×j blocks of
+// every 2j×2j diagonal block (Hacker's Delight §7-3), from j = 32 down
+// to 1.
+//
+//meshlint:hot
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff) // the columns whose bit j is clear
+	for j := uint(32); j != 0; j >>= 1 {
+		for k := uint(0); k < 64; k = (k + j + 1) &^ j {
+			t := (a[k&63]>>j ^ a[(k+j)&63]) & m
+			a[k&63] ^= t << j
+			a[(k+j)&63] ^= t
+		}
+		m ^= m << (j >> 1)
+	}
+}
+
 // Bit returns trial lane's value (0 or 1) at flat cell f.
 func (ts *TrialSlice) Bit(lane, f int) int {
 	return int(ts.words[f] >> uint(lane) & 1)

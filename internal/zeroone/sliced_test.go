@@ -57,6 +57,92 @@ func TestTrialSliceRejectsNonBinary(t *testing.T) {
 	NewTrialSlice(1, 2).AddGrid(grid.FromRows([][]int{{0, 2}}))
 }
 
+// packGrid packs g's cells as FillPacked reads them, with every bit past
+// the last cell set, which FillPacked must ignore.
+func packGrid(g *grid.Grid, out []uint64) {
+	for w := range out {
+		out[w] = ^uint64(0)
+	}
+	for f, v := range g.Cells() {
+		out[f>>6] &^= uint64(v^1) << uint(f&63)
+	}
+}
+
+// TestFillPackedMatchesAddGrid: FillPacked's words equal Reset plus
+// AddGrid of each lane, for random 0-1 grids of any zero count, ragged
+// lane counts, shapes below, at and across the 64-cell block boundary,
+// and a slice that held more lanes before.
+func TestFillPackedMatchesAddGrid(t *testing.T) {
+	src := rng.New(0xF111)
+	for _, shape := range []struct{ rows, cols int }{
+		{1, 1}, {2, 2}, {3, 3}, {1, 64}, {7, 9}, {8, 8}, {13, 5}, {32, 32}, {48, 48}, {64, 64}, {65, 3},
+	} {
+		want := NewTrialSlice(shape.rows, shape.cols)
+		got := NewTrialSlice(shape.rows, shape.cols)
+		nw := got.PackedWords()
+		packed := make([]uint64, 64*nw)
+		for _, lanes := range []int{64, 1, 63, 0, 2} {
+			want.Reset()
+			for k := 0; k < lanes; k++ {
+				n := shape.rows * shape.cols
+				g := workload.RandomZeroOne(src, shape.rows, shape.cols, rng.Intn(src, n+1))
+				want.AddGrid(g)
+				packGrid(g, packed[k*nw:(k+1)*nw])
+			}
+			got.FillPacked(packed[:lanes*nw], lanes)
+			if got.Lanes() != lanes || !slices.Equal(got.words, want.words) {
+				t.Fatalf("%dx%d, %d lanes: FillPacked words differ from AddGrid's",
+					shape.rows, shape.cols, lanes)
+			}
+		}
+	}
+}
+
+// TestFillPackedAllocBudget: the bulk fill allocates nothing.
+func TestFillPackedAllocBudget(t *testing.T) {
+	ts := NewTrialSlice(48, 48)
+	packed := make([]uint64, 64*ts.PackedWords())
+	for i := range packed {
+		packed[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ts.FillPacked(packed, 64) }); allocs != 0 {
+		t.Errorf("FillPacked: %.1f heap allocations per call, budget 0", allocs)
+	}
+}
+
+// FuzzPackedZeroOne checks the packed generation path against the grid
+// path on arbitrary (seed, stream, rows, cols): lanes drawn through
+// workload.HalfZeroOnePacked and FillPacked must hold exactly the words
+// that workload.HalfZeroOneInto and AddGrid produce from the same streams.
+func FuzzPackedZeroOne(f *testing.F) {
+	f.Add(uint64(1), uint64(0x800000), uint8(8), uint8(8))
+	f.Add(uint64(7919), uint64(1<<63|48<<36|70000), uint8(48), uint8(48))
+	f.Add(uint64(0), uint64(0), uint8(1), uint8(1))
+	f.Add(uint64(3), uint64(5), uint8(7), uint8(9))
+	f.Fuzz(func(t *testing.T, seed, stream uint64, r, c uint8) {
+		rows, cols := 1+int(r%64), 1+int(c%64)
+		lanes := 1 + int(stream%64)
+		want := NewTrialSlice(rows, cols)
+		got := NewTrialSlice(rows, cols)
+		nw := got.PackedWords()
+		cells := make([]byte, rows*cols)
+		packed := make([]uint64, lanes*nw)
+		g := grid.New(rows, cols)
+		var p rng.PCG64
+		for k := 0; k < lanes; k++ {
+			workload.HalfZeroOneInto(rng.NewStream(seed, stream+uint64(k)), g)
+			want.AddGrid(g)
+			p.SeedStream(seed, stream+uint64(k))
+			workload.HalfZeroOnePacked(&p, cells, packed[k*nw:(k+1)*nw])
+		}
+		got.FillPacked(packed, lanes)
+		if got.Lanes() != lanes || !slices.Equal(got.words, want.words) {
+			t.Fatalf("seed %d stream %#x %dx%d, %d lanes: packed path differs from grid path",
+				seed, stream, rows, cols, lanes)
+		}
+	})
+}
+
 // TestCompileSlicedShape pins the compiled layout the sweep relies on,
 // for every schedule on shapes whose rows straddle 64-cell blocks and for
 // random adjacent-pair schedules: each step's runs expand back to exactly
