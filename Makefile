@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-batch bench-kernel bench-zeroone bench-bigside bench-fabric experiments experiments-quick experiments-output lemmas fmt vet cover lint meshlint vet-perf serve-smoke store-smoke fabric-smoke
+.PHONY: all build test test-race bench experiments experiments-quick experiments-output lemmas fmt vet cover lint meshlint vet-perf serve-smoke store-smoke fabric-smoke
 
 all: build vet test
 
@@ -18,41 +18,6 @@ test-race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable speedup record for the batched trial engine against
-# the historical per-trial loop (writes BENCH_batch.json at the repo root).
-bench-batch:
-	$(GO) run ./cmd/benchbatch -suite batch -out BENCH_batch.json
-
-# Span-kernel sweep: single-thread legacy vs generic vs span ns/trial per
-# side, plus span throughput across GOMAXPROCS {1,2,4,8} (writes
-# BENCH_kernel.json at the repo root). Pass BENCHFLAGS="-cpuprofile cpu.pb.gz"
-# to capture a profile of the sweep.
-bench-kernel:
-	$(GO) run ./cmd/benchbatch -suite kernel -out BENCH_kernel.json $(BENCHFLAGS)
-
-# 0-1 kernel sweep: cellwise vs trial-sliced ns/trial per side, with a
-# built-in lockstep-equivalence differential (writes BENCH_zeroone.json
-# at the repo root).
-bench-zeroone:
-	$(GO) run ./cmd/benchbatch -suite zeroone -out BENCH_zeroone.json $(BENCHFLAGS)
-
-# Large-mesh sharded span sweep: serial span baseline vs the sharded
-# executor across shard counts and GOMAXPROCS, with a built-in
-# serial-vs-sharded differential in every arm (writes BENCH_bigside.json
-# at the repo root). The default sides {256,512,1024} take tens of
-# minutes serially; pass BENCHFLAGS="-sides 64,128 -reps 1" for a quick
-# look. Speedups are bounded by the host's core count.
-bench-bigside:
-	$(GO) run ./cmd/benchbatch -suite bigside -out BENCH_bigside.json $(BENCHFLAGS)
-
-# Distributed trial fabric on loopback: 1/2/3 in-process worker daemons
-# vs a single-process baseline, with every fleet's merged payload checked
-# byte-for-byte against the single-process run (writes BENCH_fabric.json
-# at the repo root). On a few-core host the report carries an honest
-# caveat: the numbers are dispatch overhead, not scaling.
-bench-fabric:
-	$(GO) run ./cmd/benchbatch -suite fabric -out BENCH_fabric.json $(BENCHFLAGS)
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -167,8 +167,8 @@ func AutoShards(rows, cols, budget int) int {
 }
 
 // KernelName returns the wire/CLI identifier of a kernel selector. It is
-// the inverse of KernelByName and the encoding used by the benchbatch
-// reports and the meshsortd JSON API.
+// the inverse of KernelByName and the encoding used by the meshsortd JSON
+// API (job status, /metrics, the fabric shard wire format).
 func KernelName(k Kernel) string {
 	switch k {
 	case KernelAuto:

@@ -198,38 +198,47 @@ func TestShardPoolReuse(t *testing.T) {
 	}
 }
 
-// TestShardedStepLoopAllocFree proves the hot loop allocates nothing in
-// steady state: with a warmed pool, a long run and a short run of the
-// same spec must cost the identical (small, fixed) number of allocations
-// — i.e. the per-step barrier loop contributes zero.
+// TestShardedStepLoopAllocFree pins the warm sharded pool's allocations
+// per run at 32×32 and 64×64 with three shards: a full run and runs
+// capped at 2 and 500 steps allocate at most four times each (the serial
+// span kernel's budget, TestSpanAllocBudget), and the long capped run
+// costs exactly what the short one does — the per-step barrier loop
+// contributes zero.
 func TestShardedStepLoopAllocFree(t *testing.T) {
-	const rows, cols = 32, 32
-	s, err := sched.Cached("snake-a", rows, cols) // shared: plan caches hit
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool := NewShardPool(3)
 	defer pool.Close()
-	src := rng.NewStream(3, 99)
-	input := workload.RandomPermutation(src, rows, cols)
-	buf := grid.New(rows, cols)
-	run := func(maxSteps int) func() {
-		return func() {
-			copy(buf.Cells(), input.Cells())
-			_, err := Run(buf, s, Options{Kernel: KernelSpanSharded, Shards: 3, ShardPool: pool, MaxSteps: maxSteps})
-			var lim *ErrStepLimit
-			if err != nil && !errors.As(err, &lim) {
-				t.Fatal(err)
+	for _, side := range []int{32, 64} {
+		s, err := sched.Cached("snake-a", side, side) // shared: plan caches hit
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := workload.RandomPermutation(rng.NewStream(3, 99), side, side)
+		buf := grid.New(side, side)
+		run := func(maxSteps int) func() {
+			return func() {
+				copy(buf.Cells(), input.Cells())
+				_, err := Run(buf, s, Options{Kernel: KernelSpanSharded, Shards: 3, ShardPool: pool, MaxSteps: maxSteps})
+				var lim *ErrStepLimit
+				if err != nil && !errors.As(err, &lim) {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	run(0)() // warm the pool's arenas and the plan caches
-	// Both runs hit the step cap, so they share every fixed per-run cost
-	// (permutation check, error value); any difference is per-step allocation.
-	short := testing.AllocsPerRun(5, run(2))
-	long := testing.AllocsPerRun(5, run(500))
-	if long != short {
-		t.Fatalf("allocs grow with steps: %v for 2 steps vs %v for 500 — the barrier loop allocates", short, long)
+		// AllocsPerRun's uncounted first call warms the pool's arenas and
+		// the plan caches.
+		full := testing.AllocsPerRun(5, run(0))
+		// Both capped runs hit the step cap, so they share every fixed
+		// per-run cost (permutation check, error value); any difference is
+		// per-step allocation.
+		short := testing.AllocsPerRun(5, run(2))
+		long := testing.AllocsPerRun(5, run(500))
+		t.Logf("%dx%d: %.2f allocs per full run, %.2f capped at 2 steps, %.2f at 500", side, side, full, short, long)
+		if full > 4 || short > 4 || long > 4 {
+			t.Errorf("%dx%d: %.2f allocs per full run, %.2f capped at 2 steps, %.2f at 500; budget 4 per run", side, side, full, short, long)
+		}
+		if long != short {
+			t.Errorf("%dx%d: allocs grow with steps: %v for 2 steps vs %v for 500 — the barrier loop allocates", side, side, short, long)
+		}
 	}
 }
 

@@ -275,8 +275,7 @@ func TestSpanAllocBudget(t *testing.T) {
 // TestCellwiseAllocBudget pins the engine's allocations per run on the
 // paper's half-0/half-1 inputs at 32×32 (the cellwise 0-1 path: a 0-1
 // grid is no permutation, so the generic comparator loop serves it) at
-// eight, whatever the schedule. The budget used to live only in the
-// benchbatch CI smoke job.
+// eight, whatever the schedule.
 func TestCellwiseAllocBudget(t *testing.T) {
 	for _, name := range []string{"rm-rf", "snake-a", "shearsort"} {
 		s, err := sched.Cached(name, 32, 32)

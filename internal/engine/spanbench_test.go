@@ -1,8 +1,9 @@
 // Microbenchmarks pitting the span kernel against the generic comparator
-// path on identical permutation trials. These isolate engine.Run (the
-// cmd/benchbatch kernel suite additionally measures the historical
-// per-trial loop and multi-worker scaling); run with a high -benchtime
-// and -count and compare minima — shared hosts are noisy.
+// path on identical permutation trials. These isolate engine.Run; the
+// root BenchmarkBatchedTrials times the historical per-trial loop, and
+// bench/ (`bash bench/run.sh --trace 1`) reports the kernel's ns per
+// comparator on the served path. Run with a high -benchtime and -count
+// and compare minima — shared hosts are noisy.
 package engine_test
 
 import (

@@ -57,8 +57,10 @@ type Entry struct {
 	Classes []Class
 	// Prior orders kernels within a class when no measurement exists:
 	// the eligible entry with the lowest Prior is the static default.
-	// The values encode the measured rankings of BENCH_kernel.json and
-	// BENCH_zeroone.json; a measured calibration overrides them.
+	// The values encode measured rankings: span over generic (the
+	// engine's BenchmarkKernelSpan*/Generic*), sliced over generic (the
+	// kernel history in CHANGES.md); a measured calibration overrides
+	// them.
 	Prior int
 	// Doc is a one-line description for help output and docs.
 	Doc string

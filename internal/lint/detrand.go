@@ -32,10 +32,10 @@ var DetRand = &Analyzer{
 			return true
 		}
 		switch path {
-		// benchbatch is deliberately excluded: it measures wall time.
-		// meshsortd and meshsortctl are excluded for the same reason
-		// (request logging, drain timeouts, client poll deadlines); the
-		// serving core they wrap, repro/internal/serve, IS covered —
+		// meshsortd and meshsortctl are deliberately excluded: they read
+		// the wall clock by design (request logging, drain timeouts,
+		// client poll deadlines). The serving core they wrap,
+		// repro/internal/serve, IS covered —
 		// its one wall-clock window is the file-exempted clock.go, and
 		// durations feed only logs and /metrics, never result payloads.
 		case "repro/cmd/experiments", "repro/cmd/lemmas", "repro/cmd/mesh2dsort", "repro/cmd/meshlint":

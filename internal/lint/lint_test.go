@@ -84,14 +84,14 @@ func TestTargets(t *testing.T) {
 		{DetRand, "repro/internal/mcbatch", true},
 		{DetRand, "repro/internal/rng", true},
 		{DetRand, "repro/cmd/experiments", true},
-		{DetRand, "repro/cmd/benchbatch", false}, // measures wall time by design
+		{DetRand, "repro/cmd/meshsortd", false}, // request logging and drain timeouts are wall-clock
 		{FloatEq, "repro/internal/analysis", true},
 		{FloatEq, "repro/internal/stats", true},
 		{FloatEq, "repro/internal/experiments", true},
 		{FloatEq, "repro/internal/engine", false},
 		{HotAlloc, "repro/internal/engine", true},
 		{HotAlloc, "repro/internal/zeroone", true},
-		{HotAlloc, "repro/cmd/benchbatch", false}, // hot markers live in internal packages
+		{HotAlloc, "repro/cmd/meshsortd", false}, // hot markers live in internal packages
 		{CtxFlow, "repro/internal/serve", true},
 		{CtxFlow, "repro/internal/mcbatch", true},
 		{CtxFlow, "repro/cmd/meshsortd", false}, // mains may root lifecycles

@@ -241,8 +241,7 @@ func TestRunRejectsOddColumnRowMajor(t *testing.T) {
 // generic kernel. A ZeroOne batch of 256 trials at 32×32 and 64×64
 // allocates at most 0.25 times per trial: the trial-sliced kernel's few
 // allocations per 64-lane block, and no generator or grid per trial
-// (-short keeps only 32×32). The budgets used to live only in the
-// benchbatch CI smoke job.
+// (-short keeps only 32×32).
 func TestRunAllocBudget(t *testing.T) {
 	type budget struct {
 		spec     Spec

@@ -1,20 +1,17 @@
 package report
 
-import (
-	"repro/internal/core"
-	"repro/internal/mcbatch"
-)
+import "repro/internal/mcbatch"
 
 // SpecJSON is the one canonical JSON encoding of a batched trial Spec,
-// shared by every artifact that describes a batch on the wire: the
-// benchbatch measurement records (BENCH_batch.json, BENCH_kernel.json)
-// embed it, and the meshsortd result payloads echo it. Keeping a single
-// struct keeps the field names from drifting between the bench reports
-// and the service API.
+// the spec echo every meshsortd result payload and campaign record
+// carries (ResultPayload.Spec).
 //
-// Functional Spec fields (Stream, Gen) have no wire form and are omitted;
-// a Spec carrying them should be described by its canonical resolution
-// (see mcbatch.Spec.Hash) or not at all.
+// Only result-determining fields have a wire form. The execution hints
+// (Kernel, Workers, Shards) cannot change results and are excluded from
+// the cache key, so they are not encoded; functional Spec fields (Stream,
+// Gen) have no wire form either, and a Spec carrying them should be
+// described by its canonical resolution (see mcbatch.Spec.Hash) or not at
+// all.
 type SpecJSON struct {
 	Algorithm string `json:"algorithm"`
 	Rows      int    `json:"rows"`
@@ -28,37 +25,10 @@ type SpecJSON struct {
 	Seed        uint64 `json:"seed"`
 	MaxSteps    int    `json:"max_steps,omitempty"`
 	ZeroOne     bool   `json:"zeroone,omitempty"`
-	// Kernel, Workers, and Shards are execution hints: they cannot change
-	// results (the determinism contract) and are excluded from the cache
-	// key, but bench records keep them because they explain the timings.
-	Kernel  string `json:"kernel,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	Shards  int    `json:"shards,omitempty"`
-}
-
-// SpecOf encodes s. Defaulted fields are passed through untouched (a
-// bench record should say what was asked for); callers that need the
-// resolved canonical form — e.g. a content-addressed result payload —
-// should use CanonicalSpecOf.
-func SpecOf(s mcbatch.Spec) SpecJSON {
-	return SpecJSON{
-		Algorithm:   s.Algorithm.ShortName(),
-		Rows:        s.Rows,
-		Cols:        s.Cols,
-		Trials:      s.Trials,
-		TrialOffset: s.TrialOffset,
-		Seed:        s.Seed,
-		MaxSteps:    s.MaxSteps,
-		ZeroOne:     s.ZeroOne,
-		Kernel:      core.KernelName(s.Kernel),
-		Workers:     s.Workers,
-		Shards:      s.Shards,
-	}
 }
 
 // CanonicalSpecOf encodes s with every defaulted field resolved (Seed,
-// MaxSteps) and the result-neutral execution hints (Kernel, Workers,
-// Shards) cleared, mirroring the mcbatch.Spec.Hash cache-key contract: two Specs
+// MaxSteps), mirroring the mcbatch.Spec.Hash cache-key contract: two Specs
 // with equal hashes encode to the identical CanonicalSpecOf value, so a
 // content-addressed payload embedding it stays byte-identical no matter
 // which submission populated the cache.

@@ -8,21 +8,24 @@ import (
 	"repro/internal/mcbatch"
 )
 
-// TestSpecJSONFieldNames pins the wire encoding shared by the bench
-// reports and the meshsortd API: renaming a json tag is a breaking change
-// to both, and this test is the tripwire.
+// TestSpecJSONFieldNames pins the spec echo of the meshsortd result
+// payloads: renaming a json tag is a breaking change to the API and to
+// every stored payload, and this test is the tripwire. Every field is
+// set, so every tag is pinned, and the execution hints are set too, so
+// the test also pins that they never reach the encoding.
 func TestSpecJSONFieldNames(t *testing.T) {
 	spec := mcbatch.Spec{
-		Algorithm: core.SnakeC, Rows: 4, Cols: 6, Trials: 9, Seed: 42,
-		MaxSteps: 77, Kernel: core.KernelSpan, Workers: 3,
+		Algorithm: core.SnakeC, Rows: 4, Cols: 6, Trials: 9, TrialOffset: 128,
+		Seed: 42, MaxSteps: 77, ZeroOne: true,
+		Kernel: core.KernelSliced, Workers: 3, Shards: 2,
 	}
-	buf, err := json.Marshal(SpecOf(spec))
+	buf, err := json.Marshal(CanonicalSpecOf(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"algorithm":"snake-c","rows":4,"cols":6,"trials":9,"seed":42,"max_steps":77,"kernel":"span","workers":3}`
+	want := `{"algorithm":"snake-c","rows":4,"cols":6,"trials":9,"trial_offset":128,"seed":42,"max_steps":77,"zeroone":true}`
 	if string(buf) != want {
-		t.Fatalf("SpecOf encoding drifted:\n got %s\nwant %s", buf, want)
+		t.Fatalf("CanonicalSpecOf encoding drifted:\n got %s\nwant %s", buf, want)
 	}
 }
 
@@ -48,8 +51,5 @@ func TestCanonicalSpecOfMatchesHashContract(t *testing.T) {
 	}
 	if CanonicalSpecOf(a) != CanonicalSpecOf(b) {
 		t.Fatalf("hash-equal specs encode differently:\n%+v\n%+v", CanonicalSpecOf(a), CanonicalSpecOf(b))
-	}
-	if CanonicalSpecOf(a).Kernel != "" || CanonicalSpecOf(a).Workers != 0 {
-		t.Fatal("canonical encoding must clear the result-neutral hints")
 	}
 }

@@ -83,7 +83,7 @@ func metricValue(t *testing.T, baseURL, name string) float64 {
 // mcbatch run of the same Spec.
 func TestJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := `{"algorithm":"snake-a","side":8,"trials":40,"seed":11}`
+	body := `{"algorithm":"snake-a","side":8,"trials":40,"seed":11,"kernel":"span-sharded","shards":2}`
 
 	resp, buf := postJSON(t, ts.URL+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -143,8 +143,10 @@ func TestJobLifecycle(t *testing.T) {
 	if payload.Spec.Seed != 11 || payload.Spec.Algorithm != "snake-a" {
 		t.Fatalf("payload spec echo wrong: %+v", payload.Spec)
 	}
-	if payload.Spec.Workers != 0 || payload.Spec.Kernel != "" {
-		t.Fatalf("payload spec echo must clear execution hints: %+v", payload.Spec)
+	for _, hint := range []string{`"kernel"`, `"workers"`, `"shards"`} {
+		if bytes.Contains(buf, []byte(hint)) {
+			t.Fatalf("payload echoes execution hint %s:\n%s", hint, buf)
+		}
 	}
 }
 

@@ -27,7 +27,9 @@ type JobRequest struct {
 	// TrialOffset runs the global trials [trial_offset,
 	// trial_offset+trials) of a larger experiment — the shard form a
 	// fabric coordinator derives, also accepted here so any sub-range is
-	// addressable as a plain job (mirrors report.SpecJSON).
+	// addressable as a plain job. The result payload's spec echo
+	// (report.SpecJSON) carries it under the same tag; kernel and shards
+	// are execution hints and are never echoed.
 	TrialOffset int    `json:"trial_offset,omitempty"`
 	Seed        uint64 `json:"seed,omitempty"`
 	MaxSteps    int    `json:"max_steps,omitempty"`
