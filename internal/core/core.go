@@ -158,14 +158,6 @@ const (
 	KernelSpanSharded = engine.KernelSpanSharded
 )
 
-// AutoShards re-exports the engine's shard-count heuristic so callers
-// above the engine (the kernel registry's selection gate, mcbatch's
-// parallelism budget) can ask whether sharding an R×C mesh is worth a
-// barrier without importing the engine.
-func AutoShards(rows, cols, budget int) int {
-	return engine.AutoShards(rows, cols, budget)
-}
-
 // KernelName returns the wire/CLI identifier of a kernel selector. It is
 // the inverse of KernelByName and the encoding used by the meshsortd JSON
 // API (job status, /metrics, the fabric shard wire format).

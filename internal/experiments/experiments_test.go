@@ -11,9 +11,12 @@ import (
 	"testing"
 )
 
-var updateQuickDigests = flag.Bool("update", false, "regenerate testdata/quick_digests.json from the current code")
+var updateDigests = flag.Bool("update", false, "regenerate testdata/quick_digests.json and testdata/full_digests.json from the current code")
 
-const quickDigestsPath = "testdata/quick_digests.json"
+const (
+	quickDigestsPath = "testdata/quick_digests.json"
+	fullDigestsPath  = "testdata/full_digests.json"
+)
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
@@ -62,23 +65,50 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
+	checkDigests(t, quickDigestsPath, Config{Seed: 7, Quick: true}, []int{1, 2})
+}
+
+// TestAllExperimentsFull pins the tables EXPERIMENTS.md quotes: every
+// experiment at full size and seed 1, as `go run ./cmd/experiments -seed
+// 1` renders them, must hold its claims and reproduce the sha256 in
+// testdata/full_digests.json. Tables do not depend on the trial-worker
+// count (TestAllExperimentsQuick checks two), so it runs one, and it
+// takes about 25 s on two cores, so -short skips it. The change rule is quick_digests.json's: regenerate
+// with `go test ./internal/experiments/ -run TestAllExperimentsFull
+// -update`, record it in CHANGES.md, and regenerate the EXPERIMENTS.md
+// rows it moves.
+func TestAllExperimentsFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size experiment suite skipped in -short mode")
+	}
+	checkDigests(t, fullDigestsPath, Config{Seed: 1}, []int{2})
+}
+
+// checkDigests runs every experiment under cfg once per trial-worker
+// count, requires each run to hold its claims and every count to render
+// the same tables, and compares the sha256 of each experiment's rendered
+// tables with the digest stored at path (rewriting the file under
+// -update).
+func checkDigests(t *testing.T, path string, cfg Config, workerCounts []int) {
 	var want map[string]string
-	if !*updateQuickDigests {
-		raw, err := os.ReadFile(quickDigestsPath)
+	if !*updateDigests {
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatalf("%s: %v", quickDigestsPath, err)
+			t.Fatalf("%s: %v", path, err)
 		}
 	}
 	got := map[string]string{}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			for _, workers := range []int{1, 2} {
+			for _, workers := range workerCounts {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					out, err := e.Run(Config{Seed: 7, Quick: true, TrialWorkers: workers})
+					c := cfg
+					c.TrialWorkers = workers
+					out, err := e.Run(c)
 					if err != nil {
 						t.Fatalf("%s: %v", e.ID, err)
 					}
@@ -114,15 +144,15 @@ func TestAllExperimentsQuick(t *testing.T) {
 			}
 		})
 	}
-	if *updateQuickDigests {
+	if *updateDigests {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(quickDigestsPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s: %d experiments", quickDigestsPath, len(got))
+		t.Logf("wrote %s: %d experiments", path, len(got))
 		return
 	}
 	for id := range want {

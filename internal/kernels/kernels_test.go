@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -49,25 +48,28 @@ func TestRegistryShape(t *testing.T) {
 		}
 	}
 	order := Eligible(Permutation)
-	if len(order) != 3 || order[0].ID != core.KernelSpanSharded || order[1].ID != core.KernelSpan || order[2].ID != core.KernelGeneric {
+	if len(order) != 3 || order[0].ID != core.KernelSpan || order[1].ID != core.KernelSpanSharded || order[2].ID != core.KernelGeneric {
 		t.Fatalf("permutation eligibility order wrong: %+v", order)
 	}
 }
 
-// TestShardedGate pins the sharded span entry's selection contract: it
-// is gated, so the ungated Fallback never returns it, small meshes
-// always resolve to the serial span kernel, and a big mesh picks it
-// exactly when AutoShards finds a multi-shard split on this host.
+// TestShardedGate pins that the sharded span executor is never chosen
+// automatically: with no hint, override or calibration, a 1024×1024
+// permutation batch — the largest side it was measured at, with no win
+// beyond the spread (DESIGN.md §12) — resolves to the serial span kernel
+// on every host, whatever its CPU count. A hint still pins it.
 func TestShardedGate(t *testing.T) {
-	if k := FallbackFor(Key{Algorithm: "snake-a", Rows: 16, Cols: 16, Class: Permutation}); k != core.KernelSpan {
-		t.Fatalf("small-mesh fallback = %v, want span", k)
+	t.Setenv(EnvKernel, "")
+	key := Key{Algorithm: "snake-a", Rows: 1024, Cols: 1024, Class: Permutation}
+	if k := Fallback(key.Class); k != core.KernelSpan {
+		t.Fatalf("permutation fallback = %v, want span", core.KernelName(k))
 	}
-	want := core.KernelSpan
-	if core.AutoShards(1024, 1024, runtime.NumCPU()) > 1 {
-		want = core.KernelSpanSharded
+	tu := NewTuner("")
+	if k := tu.Resolve(core.KernelAuto, key, nil); k != core.KernelSpan {
+		t.Fatalf("auto resolve at 1024x1024 = %v, want span", core.KernelName(k))
 	}
-	if k := FallbackFor(Key{Algorithm: "snake-a", Rows: 1024, Cols: 1024, Class: Permutation}); k != want {
-		t.Fatalf("big-mesh fallback = %v, want %v (NumCPU=%d)", k, want, runtime.NumCPU())
+	if k := tu.Resolve(core.KernelSpanSharded, key, nil); k != core.KernelSpanSharded {
+		t.Fatalf("hinted resolve = %v, want span-sharded", core.KernelName(k))
 	}
 }
 

@@ -12,11 +12,7 @@
 // bit-identical to the others.
 package kernels
 
-import (
-	"runtime"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Class is a workload class: the registry's eligibility axis. A kernel
 // either serves a class exactly (bit-identical to the scalar engine on
@@ -59,39 +55,24 @@ type Entry struct {
 	// the eligible entry with the lowest Prior is the static default.
 	// The values encode measured rankings: span over generic (the
 	// engine's BenchmarkKernelSpan*/Generic*), sliced over generic (the
-	// kernel history in CHANGES.md); a measured calibration overrides
-	// them.
+	// kernel history in CHANGES.md), and span over span-sharded, which
+	// won at no measured side (DESIGN.md §12); a measured calibration
+	// overrides them.
 	Prior int
 	// Doc is a one-line description for help output and docs.
 	Doc string
-	// Gate, when non-nil, restricts *automatic* selection: the static
-	// fallback skips entries whose gate rejects the batch shape. Hints,
-	// the env override, and calibrated/probed choices ignore it — a
-	// pinned or measured decision is always honored. Gates exist for
-	// kernels whose win condition depends on the host (the sharded span
-	// executor needs a mesh big enough and cores idle enough to pay for
-	// its barrier), where a static prior alone would misfire.
-	Gate func(k Key) bool
 }
 
 // registry lists every executor family. Order is presentation order.
 var registry = []Entry{
-	{core.KernelSpanSharded, "span-sharded", []Class{Permutation}, 5,
-		"sharded span executor; cache-blocked row shards behind a phase barrier — for meshes that outgrow one core's cache", spanShardedGate},
+	{core.KernelSpanSharded, "span-sharded", []Class{Permutation}, 20,
+		"sharded span executor; cache-blocked row shards behind a phase barrier — runs only when pinned by a hint, $MESHSORT_KERNEL or a calibration"},
 	{core.KernelSpan, "span", []Class{Permutation}, 10,
-		"split-parity span plans; one SWAR sweep of unit-stride runs, four 16-bit or two 32-bit cells per word", nil},
+		"split-parity span plans; one SWAR sweep of unit-stride runs, four 16-bit or two 32-bit cells per word"},
 	{core.KernelSliced, "sliced", []Class{ZeroOne}, 10,
-		"trial-sliced 0-1 kernel; 64 trials in lockstep, one bit lane each", nil},
+		"trial-sliced 0-1 kernel; 64 trials in lockstep, one bit lane each"},
 	{core.KernelGeneric, "generic", []Class{Permutation, ZeroOne}, 90,
-		"scalar cellwise engine; the reference every kernel is proven against", nil},
-}
-
-// spanShardedGate admits the sharded span executor only when the mesh ×
-// host combination can actually win: AutoShards must find a multi-shard
-// split worth a barrier given the machine's core count. Everywhere else
-// the serial span kernel (prior 10) remains the static default.
-func spanShardedGate(k Key) bool {
-	return core.AutoShards(k.Rows, k.Cols, runtime.NumCPU()) > 1
+		"scalar cellwise engine; the reference every kernel is proven against"},
 }
 
 // All returns every registered executor family.
@@ -138,26 +119,11 @@ func Supports(id core.Kernel, c Class) bool {
 	return false
 }
 
-// Fallback returns the class's ungated static default: the eligible
-// kernel with the lowest Prior whose selection does not depend on batch
-// shape (span for permutations, sliced for 0-1 batches).
+// Fallback returns the class's static default: the eligible kernel with
+// the lowest Prior (span for permutations, sliced for 0-1 batches).
 func Fallback(c Class) core.Kernel {
-	for _, e := range Eligible(c) {
-		if e.Gate == nil {
-			return e.ID
-		}
-	}
-	return core.KernelGeneric
-}
-
-// FallbackFor returns the static default for one concrete batch: the
-// eligible kernel with the lowest Prior whose Gate (if any) admits the
-// batch shape on this host.
-func FallbackFor(key Key) core.Kernel {
-	for _, e := range Eligible(key.Class) {
-		if e.Gate == nil || e.Gate(key) {
-			return e.ID
-		}
+	if e := Eligible(c); len(e) > 0 {
+		return e[0].ID
 	}
 	return core.KernelGeneric
 }

@@ -177,7 +177,7 @@ func (tu *Tuner) Resolve(hint core.Kernel, key Key, probe Probe) core.Kernel {
 			return k
 		}
 	}
-	return FallbackFor(key)
+	return Fallback(key.Class)
 }
 
 // Calibrate times every kernel eligible for key's class with probe,

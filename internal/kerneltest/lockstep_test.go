@@ -14,33 +14,64 @@ import (
 	"repro/internal/zeroone"
 )
 
-// TestLockstepCarryStress packs 64 (and 63) copies of one half-0/half-1
-// grid at 48×48, so every pair that swaps does so in every lane at once
-// and each chunk's swap counts carry through all four register planes
-// into the high lane-counter planes. Every lane must still match the
-// reference run of that grid.
+// TestLockstepCarryStress packs 64 (and 63) copies of one grid into a
+// batch, so every pair that swaps does so in every lane at once and each
+// chunk's swap counts carry through all five register planes into the
+// high lane-counter planes. The grids are half-0/half-1 draws at 48×48
+// and at 64×64, whose reverse rows of 32 pairs fill a 31-pair chunk, and
+// a crafted 2×64 snake lane whose reverse row swaps on every one of its
+// 31 pairs at step 1, a count that sets all five planes before the
+// flush. Every lane must still match the reference run of its grid.
 func TestLockstepCarryStress(t *testing.T) {
-	const side = 48
 	src := rng.New(0xCA22)
-	for _, alg := range append(sched.Names(), "rm-rf-nowrap") {
-		s, err := sched.Cached(alg, side, side)
+	for _, side := range []int{48, 64} {
+		for _, alg := range append(sched.Names(), "rm-rf-nowrap") {
+			carryStress(t, alg, 0, workload.HalfZeroOne(src, side, side))
+		}
+	}
+	// Step 1 of snake-a and snake-b runs row 1 right to left on the pairs
+	// (c+1, c), c = 1, 3, ..., 61, the min landing at c+1: a 1 at every
+	// even column of row 1 but the first swaps all 31.
+	full := grid.New(2, 64)
+	for c := 2; c < 64; c += 2 {
+		full.Set(1, c, 1)
+	}
+	for _, alg := range []string{"snake-a", "snake-b"} {
+		s, err := sched.Cached(alg, 2, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := zeroone.CachedSliced(alg, side, side)
-		if err != nil {
-			t.Fatal(err)
+		if ref := references(s, 1, []Case{{Input: full}})[0]; ref.res.Swaps != 31 {
+			t.Fatalf("%s: crafted lane swaps %d times at step 1, want 31", alg, ref.res.Swaps)
 		}
-		in := Case{Label: "half", Input: workload.HalfZeroOne(src, side, side)}
-		ref := references(s, 0, []Case{in})[0]
-		for _, lanes := range []int{64, 63} {
-			cases := make([]Case, lanes)
-			base := make([]outcome, lanes)
-			for i := range cases {
-				cases[i], base[i] = in, ref
-			}
-			compareLockstep(t, fmt.Sprintf("%s %dx%d %d copies", alg, side, side, lanes), ss, 0, cases, base)
+		for _, maxSteps := range []int{1, 0} {
+			carryStress(t, alg, maxSteps, full)
 		}
+	}
+}
+
+// carryStress runs 64 and 63 copies of g under alg with cap maxSteps and
+// checks every lane against the reference run of g.
+func carryStress(t *testing.T, alg string, maxSteps int, g *grid.Grid) {
+	t.Helper()
+	rows, cols := g.Rows(), g.Cols()
+	s, err := sched.Cached(alg, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := zeroone.CachedSliced(alg, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Case{Label: "copy", Input: g}
+	ref := references(s, maxSteps, []Case{in})[0]
+	for _, lanes := range []int{64, 63} {
+		cases := make([]Case, lanes)
+		base := make([]outcome, lanes)
+		for i := range cases {
+			cases[i], base[i] = in, ref
+		}
+		compareLockstep(t, fmt.Sprintf("%s %dx%d cap=%d %d copies", alg, rows, cols, maxSteps, lanes), ss, maxSteps, cases, base)
 	}
 }
 

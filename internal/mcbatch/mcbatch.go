@@ -372,15 +372,15 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 
 // splitParallelism resolves the two-level parallelism budget of a batch:
 // trial workers (outer level) × row shards per trial (inner level) ≤
-// GOMAXPROCS. Across-trial parallelism claims procs first — it scales
-// without any barrier cost — so auto-sharding only takes the procs the
-// trial pool leaves idle, which happens exactly in the big-mesh,
-// few-trials regime the sharded kernel exists for. An explicit
-// Spec.Shards pins the inner level like a kernel hint, clamped by the
-// same engine.ClampShards the engine applies, so the Batch reports the
-// count that runs. No split can change results: every
-// (workers, shards) pair is proven bit-identical by the differential
-// suites, so the budget is pure scheduling policy.
+// GOMAXPROCS. It matters only when a hint, $MESHSORT_KERNEL or a
+// calibration pins the sharded kernel; automatic selection never picks
+// it. Across-trial parallelism claims procs first — it scales without
+// any barrier cost — so a shard count left at 0 only takes the procs the
+// trial pool leaves idle. An explicit Spec.Shards pins the inner level
+// like a kernel hint, clamped by the same engine.ClampShards the engine
+// applies, so the Batch reports the count that runs. No split can change
+// results: every (workers, shards) pair is proven bit-identical by the
+// differential suites, so the budget is pure scheduling policy.
 func splitParallelism(spec Spec) (workers, shards int) {
 	procs := runtime.GOMAXPROCS(0)
 	workers = spec.Workers

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -231,6 +232,23 @@ func TestRunRejectsOddColumnRowMajor(t *testing.T) {
 	}
 	if _, err := RunCtx(context.Background(), Spec{Algorithm: core.SnakeA, Rows: 15, Cols: 15, Trials: 4}); err != nil {
 		t.Fatalf("snake-a 15x15: %v", err)
+	}
+}
+
+// TestAutoKernelNeverShards pins that automatic selection runs the
+// serial span kernel for a permutation batch with fewer trials than
+// procs on a big mesh: a 1-trial snake-a batch at 512×512, where the
+// trial pool leaves every proc but one idle, resolves to span on every
+// host. The sharded executor lost at every measured side (DESIGN.md §12),
+// so only a hint, $MESHSORT_KERNEL or a calibration selects it. The
+// batch is resolved, not run.
+func TestAutoKernelNeverShards(t *testing.T) {
+	t.Setenv(kernels.EnvKernel, "")
+	t.Setenv(kernels.EnvTune, "")
+	spec := Spec{Algorithm: core.SnakeA, Rows: 512, Cols: 512, Trials: 1, Seed: 1}
+	k := resolveKernel(context.Background(), spec, spec.Seed, DefaultStream(spec.Algorithm, 512), nil)
+	if k != core.KernelSpan {
+		t.Fatalf("1-trial 512x512 snake-a resolves to %s, want span", core.KernelName(k))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/grid"
@@ -32,7 +33,7 @@ import (
 // P(Lo)). With P(r, c) = r + c, column pairs and forward row pairs have
 // w = 0 and run with no counter at all; only the reverse row pairs of the
 // snakes and shearsort (w = 2) and the row-major wrap pairs (w = C − 1)
-// sum their swap masks, per lane in four register bit-planes, touching
+// sum their swap masks, per lane in five register bit-planes, touching
 // memory beyond the two words only once per chunk in which some lane
 // swapped (docs/THEORY.md, "Swap accounting by potential"). Runs stop at
 // every 64-cell change-tracking block, so a run whose blocks are
@@ -213,10 +214,11 @@ type slicedRun struct {
 // a narrow band around each lane's 0/1 boundary).
 const blockShift = 6
 
-// chunkPairs is how many pairs the sweep counts in its four register
-// bit-planes before it must flush them: 15 is the largest per-lane swap
-// count four bits hold.
-const chunkPairs = 15
+// chunkPairs is how many pairs the sweep counts in its five register
+// bit-planes before it must flush them: 31 is the largest per-lane swap
+// count five bits hold. Chunks of 63 in six planes measured no faster
+// (DESIGN.md §10).
+const chunkPairs = 31
 
 // slicedStep is one schedule step for the lockstep executor: the step's
 // comparators ordered by their lower cell, so the word accesses stream
@@ -504,16 +506,30 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 		lastExec[i] = -1
 	}
 
+	// sweep reaches w, blockMax and lastExec through raw pointers, with no
+	// bounds check. Every run's cells lie in [0, n): CompileSliced looks up
+	// the potential of every comparator's cells, bounds-checked, before any
+	// sweep (TestCompileSlicedRejectsOutOfRangePair), and the dimension
+	// check above makes len(w) == n. The run's blocks then lie within
+	// blockMax, and runStart[pi] plus a run's index within lastExec.
+	wp := unsafe.Pointer(unsafe.SliceData(w))
+	bp := unsafe.Pointer(unsafe.SliceData(blockMax))
+	ep := unsafe.Pointer(unsafe.SliceData(lastExec))
+
 	period := len(ss.steps)
 	pi := 0
 	quiet := 0
 	for t := 1; t <= maxSteps; t++ {
-		st := &ss.steps[pi]
-		runExec := lastExec[ss.runStart[pi]:]
+		var dirty uint64
+		// A step can have no runs (the column steps of a 1×N mesh), and
+		// then its share of lastExec would start past the end.
+		if st := &ss.steps[pi]; len(st.runs) != 0 {
+			runExec := unsafe.Pointer(uintptr(ep) + 4*uintptr(ss.runStart[pi]))
+			dirty = sweep(wp, bp, runExec, st.runs, int32(t), &planes)
+		}
 		if pi++; pi == period {
 			pi = 0
 		}
-		dirty := sweep(w, blockMax, runExec, st.runs, int32(t), &planes)
 		// Quiescence for a full period means every lane sits at a fixed
 		// point of the whole schedule — its final state, sorted or not.
 		if dirty == 0 {
@@ -565,124 +581,128 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 	return results, errs, nil
 }
 
-// changedSince reports whether one of r's blocks was marked at or after
-// step last. A run none of whose blocks changed since its own last
-// execution would find every pair already exchanged (compare-exchange is
-// idempotent), so the executors skip it outright — late in a 0-1 sort
-// that is almost every run, since activity shrinks to a band around the
-// lanes' boundaries.
-//
-//meshlint:hot
-func (r *slicedRun) changedSince(blockMax []int32, last int32) bool {
-	for _, m := range blockMax[r.blo : r.bhi+1] {
-		if m >= last {
-			return true
-		}
-	}
-	return false
-}
-
-// sweep executes one step's runs on the slice words w as step tt and
+// sweep executes one step's runs on the slice words at w as step tt and
 // returns the OR of the lanes' swap masks. Every pair stores lo&hi and
 // lo|hi, swapped or not, so the loop has no branch on the data: on the
 // paper's half-0/half-1 inputs 20–56% of the executed pairs swap in some
 // lane, depending on schedule, so a branch on it mispredicts often. A
 // weight-0 run is one uncounted pass, which marks all of the run's blocks
 // in blockMax if some lane swapped. A weighted run goes in chunks of up
-// to chunkPairs pairs, each summing its swap masks per lane in four
+// to chunkPairs pairs, each summing its swap masks per lane in five
 // register bit-planes through a fixed half-adder chain; only a chunk in
 // which some lane swapped marks its blocks in blockMax and flushes its
 // sums into planes. The marks cover the blocks of both roles' first and
 // last cells, hence every cell of the chunk: each role's cells lie within
 // 64 consecutive cells, so at most two blocks.
 //
+// A run is skipped unless one of its blocks was marked at or after the
+// step it last executed: a run none of whose blocks changed since would
+// find every pair already exchanged (compare-exchange is idempotent), and
+// late in a 0-1 sort that is almost every run, since activity shrinks to
+// a band around the lanes' boundaries. w, blockMax and runExec (the
+// step's share of lastExec) are reached through raw pointers, with no
+// bounds check; SortSliced states why every access lies inside its array.
+//
 //meshlint:hot
-func sweep(w []uint64, blockMax, runExec []int32, runs []slicedRun, tt int32, planes *[64]uint64) (dirty uint64) {
+func sweep(w, blockMax, runExec unsafe.Pointer, runs []slicedRun, tt int32, planes *[64]uint64) (dirty uint64) {
+next:
 	for ri := range runs {
 		r := &runs[ri]
-		if !r.changedSince(blockMax, runExec[ri]) {
-			continue
+		f, delta, stride, count := uintptr(r.base), uintptr(r.delta), uintptr(r.stride), int(r.count)
+		blo, bhi := uintptr(r.blo), uintptr(r.bhi)
+		stamp := (*int32)(unsafe.Pointer(uintptr(runExec) + 4*uintptr(ri)))
+		for b, last := blo, *stamp; *(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*b)) < last; b++ {
+			if b == bhi {
+				continue next
+			}
 		}
-		runExec[ri] = tt
-		f, delta, stride := int(r.base), int(r.delta), int(r.stride)
+		*stamp = tt
 		if r.weight == 0 {
-			if swapped := exchange(w, f, delta, stride, int(r.count)); swapped != 0 {
+			if swapped := exchange(unsafe.Pointer(uintptr(w)+8*f), 8*delta, 8*stride, count); swapped != 0 {
 				dirty |= swapped
-				for b := r.blo; b <= r.bhi; b++ {
-					blockMax[b] = tt
+				for b := blo; b <= bhi; b++ {
+					*(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*b)) = tt
 				}
 			}
 			continue
 		}
-		for left := int(r.count); left > 0; left -= chunkPairs {
+		for left := count; left > 0; left -= chunkPairs {
 			k := min(left, chunkPairs)
-			ones, twos, fours, eights := sweepChunk(w, f, delta, stride, k)
-			if swapped := ones | twos | fours | eights; swapped != 0 {
+			ones, twos, fours, eights, sixteens := sweepChunk(unsafe.Pointer(uintptr(w)+8*f), 8*delta, 8*stride, k)
+			if swapped := ones | twos | fours | eights | sixteens; swapped != 0 {
 				dirty |= swapped
-				last := f + (k-1)*stride
-				blockMax[f>>blockShift] = tt
-				blockMax[(f+delta)>>blockShift] = tt
-				blockMax[last>>blockShift] = tt
-				blockMax[(last+delta)>>blockShift] = tt
-				addCounts(planes, ones, twos, fours, eights)
+				last := f + uintptr(k-1)*stride
+				*(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*(f>>blockShift))) = tt
+				*(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*((f+delta)>>blockShift))) = tt
+				*(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*(last>>blockShift))) = tt
+				*(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*((last+delta)>>blockShift))) = tt
+				addCounts(planes, ones, twos, fours, eights, sixteens)
 			}
-			f += k * stride
+			f += uintptr(k) * stride
 		}
 	}
 	return dirty
 }
 
-// exchange compare-exchanges the k pairs (f, f+delta), f advancing by
-// stride, without counting, and returns the OR of their swap masks. Like
-// sweepChunk it stays out of line, so sweep's live values do not spill
-// its loop's registers to the stack.
+// exchange compare-exchanges k ≥ 1 pairs without counting and returns the
+// OR of their swap masks. lo is the first pair's Lo word, each Hi word
+// lies off bytes from its Lo word (off wraps for a negative delta), and
+// the pairs step by stride bytes. Like sweepChunk it stays out of line,
+// so sweep's live values do not spill its loop's registers to the stack.
 //
 //meshlint:hot
 //go:noinline
-func exchange(w []uint64, f, delta, stride, k int) (swapped uint64) {
-	for g := f + delta; k > 0; k-- {
-		lo, hi := w[f], w[g]
-		s := lo &^ hi
-		w[f], w[g] = lo&hi, hi|s
+func exchange(lo unsafe.Pointer, off, stride uintptr, k int) (swapped uint64) {
+	for {
+		pl, ph := (*uint64)(lo), (*uint64)(unsafe.Pointer(uintptr(lo)+off))
+		x, y := *pl, *ph
+		s := x &^ y
+		*pl, *ph = x&y, y|s
 		swapped |= s
-		f += stride
-		g += stride
+		if k--; k == 0 {
+			return swapped
+		}
+		// Step only onto a pair that exists: a pointer past the words
+		// would fail the checkptr instrumentation of -race builds.
+		lo = unsafe.Pointer(uintptr(lo) + stride)
 	}
-	return swapped
 }
 
-// sweepChunk compare-exchanges the k pairs (f, f+delta), f advancing by
-// stride, and returns their per-lane swap counts as four bit-planes. It
-// stays out of line: inlined, its thirteen live values and sweep's own
-// exceed the amd64 registers, and the planes spill to the stack on every
-// pair.
+// sweepChunk compare-exchanges 1 ≤ k ≤ chunkPairs pairs, laid out as for
+// exchange, and returns their per-lane swap counts as five bit-planes. It
+// stays out of line: inlined, its live values and sweep's own exceed the
+// amd64 registers, and the planes spill to the stack on every pair.
 //
 //meshlint:hot
 //go:noinline
-func sweepChunk(w []uint64, f, delta, stride, k int) (ones, twos, fours, eights uint64) {
-	for g := f + delta; k > 0; k-- {
-		lo, hi := w[f], w[g]
-		s := lo &^ hi
-		w[f], w[g] = lo&hi, hi|s // hi|s == lo|hi, and frees lo's register sooner
+func sweepChunk(lo unsafe.Pointer, off, stride uintptr, k int) (ones, twos, fours, eights, sixteens uint64) {
+	for {
+		pl, ph := (*uint64)(lo), (*uint64)(unsafe.Pointer(uintptr(lo)+off))
+		x, y := *pl, *ph
+		s := x &^ y
+		*pl, *ph = x&y, y|s // y|s == x|y, and frees x's register sooner
 		ones ^= s
 		c := s &^ ones // the carries: lanes where ones was set
 		twos ^= c
 		c &^= twos
 		fours ^= c
-		eights |= c &^ fours // no carry out: a chunk counts at most 15
-		f += stride
-		g += stride
+		c &^= fours
+		eights ^= c
+		sixteens |= c &^ eights // no carry out: a chunk counts at most 31
+		if k--; k == 0 {
+			return ones, twos, fours, eights, sixteens
+		}
+		lo = unsafe.Pointer(uintptr(lo) + stride) // onto a pair that exists, as in exchange
 	}
-	return ones, twos, fours, eights
 }
 
-// addCounts adds a chunk's per-lane swap counts, the 4-bit numbers whose
-// bit-planes are ones..eights, into the bit-sliced lane counters: a
-// full-adder chain over the four low planes, then a carry ripple that
+// addCounts adds a chunk's per-lane swap counts, the 5-bit numbers whose
+// bit-planes are ones..sixteens, into the bit-sliced lane counters: a
+// full-adder chain over the five low planes, then a carry ripple that
 // stops at the first plane absorbing it.
 //
 //meshlint:hot
-func addCounts(planes *[64]uint64, ones, twos, fours, eights uint64) {
+func addCounts(planes *[64]uint64, ones, twos, fours, eights, sixteens uint64) {
 	carry := planes[0] & ones
 	planes[0] ^= ones
 	x := planes[1] ^ twos
@@ -691,7 +711,9 @@ func addCounts(planes *[64]uint64, ones, twos, fours, eights uint64) {
 	carry, planes[2] = planes[2]&fours|x&carry, x^carry
 	x = planes[3] ^ eights
 	carry, planes[3] = planes[3]&eights|x&carry, x^carry
-	addAt(planes, carry, 4)
+	x = planes[4] ^ sixteens
+	carry, planes[4] = planes[4]&sixteens|x&carry, x^carry
+	addAt(planes, carry, 5)
 }
 
 // addPotential adds each lane's count of 1s into ones and its potential

@@ -282,6 +282,33 @@ func TestSlicedPotential(t *testing.T) {
 	}
 }
 
+// TestCompileSlicedRejectsOutOfRangePair pins the precondition of the
+// sweep's unchecked loads: CompileSliced looks up the potential of both
+// cells of every comparator, bounds-checked, so a schedule with a
+// comparator outside [0, rows·cols) panics while compiling, before any
+// sweep could reach past the slice words. The second phase list takes
+// two nonzero weights, so choosePotential stops early and compressRuns
+// must catch the bad comparator.
+func TestCompileSlicedRejectsOutOfRangePair(t *testing.T) {
+	const rows, cols = 2, 3
+	for _, bad := range []sched.Comparator{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 5}, {Lo: -1, Hi: 0}, {Lo: 2, Hi: 40}} {
+		for _, lead := range [][]sched.Comparator{
+			{{Lo: 0, Hi: 1}},
+			{{Lo: 1, Hi: 0}, {Lo: 5, Hi: 0}}, // weights 2 and 4
+		} {
+			phases := [][]sched.Comparator{append(slices.Clone(lead), bad)}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("CompileSliced accepted comparator %+v on a %dx%d mesh", bad, rows, cols)
+					}
+				}()
+				CompileSliced(schedtest.NewPhases(rows, cols, grid.RowMajor, phases))
+			}()
+		}
+	}
+}
+
 func TestCachedSliced(t *testing.T) {
 	a, err := CachedSliced("snake-b", 8, 8)
 	if err != nil {
@@ -399,6 +426,41 @@ func TestSortSlicedAllocBudget(t *testing.T) {
 		}
 		if allocs > 3 {
 			t.Errorf("%s %dx%d: %.1f heap allocations per 64-lane block, budget 3", name, side, side, allocs)
+		}
+	}
+}
+
+// BenchmarkSortSliced times the trial-sliced kernel alone: one canonical
+// 64-lane block (half-0/half-1 grids, as mcbatch draws them) per schedule
+// and side, per op. The packed lanes are drawn before the timer, and
+// since SortSliced sorts in place each iteration refills the slice from
+// them with FillPacked, one 64×64 bit transpose per 64 cells.
+//
+// Run with: go test -run '^$' -bench SortSliced ./internal/zeroone/
+func BenchmarkSortSliced(b *testing.B) {
+	for _, side := range []int{32, 48, 64} {
+		ts := NewTrialSlice(side, side)
+		nw := ts.PackedWords()
+		packed := make([]uint64, 64*nw)
+		cells := make([]byte, side*side)
+		var src rng.PCG64
+		for k := 0; k < 64; k++ {
+			src.SeedStream(1, uint64(side)<<20|uint64(k))
+			workload.HalfZeroOnePacked(&src, cells, packed[k*nw:(k+1)*nw])
+		}
+		for _, name := range sched.Names() {
+			ss, err := CachedSliced(name, side, side)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/side=%d", name, side), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ts.FillPacked(packed, 64)
+					if _, errs, err := SortSliced(ts, ss, 0); err != nil || errs != nil {
+						b.Fatalf("SortSliced: err=%v errs=%v", err, errs)
+					}
+				}
+			})
 		}
 	}
 }

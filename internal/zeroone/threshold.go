@@ -191,7 +191,11 @@ func runThresholdChunk(w []uint64, ss *SlicedSchedule, maxSteps int, blockMax, l
 		tt := int32(t)
 		for ri := range st.runs {
 			r := &st.runs[ri]
-			if !r.changedSince(blockMax, runExec[ri]) {
+			stale := true
+			for _, m := range blockMax[r.blo : r.bhi+1] {
+				stale = stale && m < runExec[ri]
+			}
+			if stale {
 				continue
 			}
 			runExec[ri] = tt
