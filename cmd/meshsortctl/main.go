@@ -103,15 +103,13 @@ func specFlags(fs *flag.FlagSet) func() serve.JobRequest {
 		trials   = fs.Int("trials", 0, "number of independent trials")
 		seed     = fs.Uint64("seed", 0, "master seed (0 = harness default)")
 		maxSteps = fs.Int("max-steps", 0, "per-trial step cap (0 = engine default)")
-		kernel   = fs.String("kernel", "", "executor family: auto, generic, span, span-sharded or sliced")
-		shards   = fs.Int("shards", 0, "intra-trial row shards for span-sharded (0 = auto); pure execution hint")
-		zeroone  = fs.Bool("zeroone", false, "run half-0/half-1 grids instead of permutations (served by the trial-sliced 0-1 kernel unless -kernel pins another)")
+		zeroone  = fs.Bool("zeroone", false, "run half-0/half-1 grids instead of permutations (served by the trial-sliced 0-1 kernel)")
 	)
 	return func() serve.JobRequest {
 		return serve.JobRequest{
 			Algorithm: *alg, Side: *side, Rows: *rows, Cols: *cols,
 			Trials: *trials, Seed: *seed, MaxSteps: *maxSteps,
-			Kernel: *kernel, Shards: *shards, ZeroOne: *zeroone,
+			ZeroOne: *zeroone,
 		}
 	}
 }

@@ -158,9 +158,9 @@ const (
 	KernelSpanSharded = engine.KernelSpanSharded
 )
 
-// KernelName returns the wire/CLI identifier of a kernel selector. It is
-// the inverse of KernelByName and the encoding used by the meshsortd JSON
-// API (job status, /metrics, the fabric shard wire format).
+// KernelName returns the identifier of a kernel selector: the encoding
+// used by the meshsortd JSON API (job status, /metrics, the fabric shard
+// wire format).
 func KernelName(k Kernel) string {
 	switch k {
 	case KernelAuto:
@@ -175,25 +175,6 @@ func KernelName(k Kernel) string {
 		return "span-sharded"
 	default:
 		return fmt.Sprintf("kernel%d", int(k))
-	}
-}
-
-// KernelByName resolves a kernel identifier; the empty string means
-// KernelAuto (the zero value), so omitted wire fields parse cleanly.
-func KernelByName(name string) (Kernel, error) {
-	switch name {
-	case "", "auto":
-		return KernelAuto, nil
-	case "generic":
-		return KernelGeneric, nil
-	case "span":
-		return KernelSpan, nil
-	case "sliced":
-		return KernelSliced, nil
-	case "span-sharded":
-		return KernelSpanSharded, nil
-	default:
-		return 0, fmt.Errorf("core: unknown kernel %q (want auto, generic, span, span-sharded or sliced)", name)
 	}
 }
 

@@ -1,23 +1,19 @@
 // Package engine executes comparator schedules on a mesh, step by
 // synchronous step, until the grid reaches its target order.
 //
-// Run has one general loop and two fast paths. The general loop applies
+// Run has one general loop and one fast path. The general loop applies
 // each step's comparators in order and keeps a completion tracker; it
-// serves every run, including observers, injected trackers and
-// duplicate-valued grids such as 0-1 inputs. A permutation trial with
-// neither an observer nor an injected tracker takes the span kernel
-// (span.go), optionally split into row shards behind a phase barrier
-// (shard.go), or — under KernelGeneric, or for a schedule without a span
-// plan — a compare-exchange loop without the tracker's per-swap
-// arithmetic (runDistinctLazy). Every path produces bit-identical grids
-// and counters, which the differential suites in internal/kerneltest
-// prove.
+// serves every run the fast path does not: observers, injected trackers,
+// duplicate-valued grids such as 0-1 inputs, schedules without a span
+// plan, and KernelGeneric. A permutation trial with neither an observer
+// nor an injected tracker takes the span kernel (span.go), optionally
+// split into row shards behind a phase barrier (shard.go). Every path
+// produces bit-identical grids and counters, which the differential
+// suites in internal/kerneltest prove.
 package engine
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/sched"
@@ -95,12 +91,8 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 	}
 
 	// Monte-Carlo fast path: a permutation trial with no observer and no
-	// injected tracker runs a pure compare-exchange loop with
-	// settled-window skipping and lazy completion detection instead of
-	// paying the tracker's delta arithmetic on every swap. The span kernel
-	// needs no tracker at all.
-	fast := opts.Observer == nil && opts.Tracker == nil
-	if fast && opts.Kernel != KernelGeneric {
+	// injected tracker runs the span kernel, which needs no tracker at all.
+	if opts.Observer == nil && opts.Tracker == nil && opts.Kernel != KernelGeneric {
 		if minVal, ok := permutationMin(g); ok {
 			if plan := spanPlanFor(s, g); plan != nil {
 				if opts.Kernel == KernelSpanSharded {
@@ -129,12 +121,6 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 	// an indexed lookup instead of an interface call per step.
 	phases := sched.PhasesOf(s)
 	period := len(phases)
-
-	if fast {
-		if dt, ok := tr.(*grid.DistinctTracker); ok {
-			return runDistinctLazy(g, planFor(s, g, phases), maxSteps, dt)
-		}
-	}
 
 	sortedAt := -1
 	if tr.Sorted() {
@@ -179,207 +165,6 @@ func Run(g *grid.Grid, s sched.Schedule, opts Options) (Result, error) {
 		return res, nil
 	}
 	return res, &ErrStepLimit{Algorithm: s.Name(), MaxSteps: maxSteps, Misplaced: tr.Misplaced()}
-}
-
-// lazyPhase is one schedule step prepared for the fast path: the same
-// comparators as the schedule's step (disjoint, so application order is
-// irrelevant), re-sorted by the target rank of their Lo destination, with
-// the destination ranks alongside so the skip tests never load the grid.
-type lazyPhase struct {
-	comps  []sched.Comparator
-	loRank []int32 // target rank of each comparator's Lo destination
-	hiRank []int32 // target rank of each comparator's Hi destination
-}
-
-// lazyPlan is the engine-level compilation of a schedule for permutation
-// trials. monotone records that every comparator sends the smaller value
-// to the strictly lower target rank — true for all schedules in
-// internal/sched — which is what makes settled-window skipping sound.
-type lazyPlan struct {
-	name     string
-	n        int
-	rankFlat []int32 // rankFlat[m] = flat cell of target rank m
-	monotone bool
-	phases   []lazyPhase
-}
-
-// lazyPlans caches plans for shared compiled schedules. Ad-hoc schedule
-// values get a fresh plan per run instead of a cache entry, so repeated
-// one-off constructions cannot grow the map without bound.
-var lazyPlans sync.Map // *sched.Compiled -> *lazyPlan
-
-func planFor(s sched.Schedule, g *grid.Grid, phases [][]sched.Comparator) *lazyPlan {
-	c, shared := s.(*sched.Compiled)
-	if shared {
-		if v, ok := lazyPlans.Load(c); ok {
-			return v.(*lazyPlan)
-		}
-	}
-	n := g.Len()
-	order := s.Order()
-	plan := &lazyPlan{name: s.Name(), n: n, rankFlat: make([]int32, n), monotone: true}
-	rank := make([]int32, n) // rank[flat] = target rank of flat cell
-	for m := 0; m < n; m++ {
-		f := g.RankFlat(order, m)
-		plan.rankFlat[m] = int32(f)
-		rank[f] = int32(m)
-	}
-	plan.phases = make([]lazyPhase, len(phases))
-	for pi, comps := range phases {
-		ph := &plan.phases[pi]
-		ph.comps = append([]sched.Comparator(nil), comps...)
-		sort.Slice(ph.comps, func(i, j int) bool {
-			return rank[ph.comps[i].Lo] < rank[ph.comps[j].Lo]
-		})
-		ph.loRank = make([]int32, len(comps))
-		ph.hiRank = make([]int32, len(comps))
-		for i, cmp := range ph.comps {
-			ph.loRank[i] = rank[cmp.Lo]
-			ph.hiRank[i] = rank[cmp.Hi]
-			if ph.loRank[i] >= ph.hiRank[i] {
-				plan.monotone = false
-			}
-		}
-	}
-	if shared {
-		v, _ := lazyPlans.LoadOrStore(c, plan)
-		return v.(*lazyPlan)
-	}
-	return plan
-}
-
-// runDistinctLazy executes the schedule as a pure compare-exchange loop —
-// no per-swap tracker arithmetic — with two exact accelerations for
-// monotone schedules:
-//
-// Settled windows. Once the P lowest target ranks hold their final values
-// (the P smallest values, in position), no comparator can disturb them: a
-// comparator whose Lo destination is settled compares one of the P
-// smallest values against a necessarily larger one and never swaps, and
-// by monotonicity a comparator cannot have only its Hi destination
-// settled. The settled prefix therefore only grows, and the comparators
-// it covers — a prefix of each rank-sorted phase — are skipped outright.
-// A settled suffix of the S largest values is symmetric. Skipped
-// comparators still count as comparisons (they are evaluated by the
-// synchronous machine; the engine just knows their outcome), so Steps,
-// Swaps, and Comparisons are bit-identical to the plain executor.
-//
-// Completion. The grid is sorted exactly when P+S covers every rank, and
-// extending P/S after each step fails at the first unsettled rank, so
-// detection is O(1) amortized per step and the first sorted step is
-// reported exactly.
-//
-// Non-monotone schedules fall back to a conservative lower bound: a swap
-// changes the misplaced-cell count by at most 2, so the count stays
-// positive until half the last exact count has been swapped away; only
-// then is an O(N) recount needed.
-//
-//meshlint:exempt oblivious compare-exchange primitive plus settled-window completion detection; exactness is proven by the differential suites
-func runDistinctLazy(g *grid.Grid, plan *lazyPlan, maxSteps int, tr *grid.DistinctTracker) (Result, error) {
-	cells := g.Cells()
-	_, min := tr.Home()
-	n := plan.n
-	rankFlat := plan.rankFlat
-
-	var res Result
-	period := len(plan.phases)
-	pi := 0
-
-	if plan.monotone {
-		starts := make([]int, period)
-		ends := make([]int, period)
-		for i := range plan.phases {
-			ends[i] = len(plan.phases[i].comps)
-		}
-		p, s := 0, 0 // settled prefix / suffix sizes, in ranks
-		for p+s < n && int(cells[rankFlat[p]]) == min+p {
-			p++
-		}
-		for p+s < n && cells[rankFlat[n-1-s]] == min+n-1-s {
-			s++
-		}
-		for t := 1; t <= maxSteps; t++ {
-			ph := &plan.phases[pi]
-			start, end := starts[pi], ends[pi]
-			for start < end && int(ph.loRank[start]) < p {
-				start++
-			}
-			for end > start && int(ph.hiRank[end-1]) >= n-s {
-				end--
-			}
-			starts[pi], ends[pi] = start, end
-			if pi++; pi == period {
-				pi = 0
-			}
-			swaps := 0
-			for _, cmp := range ph.comps[start:end] {
-				lo, hi := int(cmp.Lo), int(cmp.Hi)
-				a, b := cells[lo], cells[hi]
-				if a > b {
-					cells[lo], cells[hi] = b, a
-					swaps++
-				}
-			}
-			res.Swaps += int64(swaps)
-			res.Comparisons += int64(len(ph.comps))
-			for p+s < n && int(cells[rankFlat[p]]) == min+p {
-				p++
-			}
-			for p+s < n && cells[rankFlat[n-1-s]] == min+n-1-s {
-				s++
-			}
-			if p+s >= n {
-				res.Steps = t
-				res.Sorted = true
-				return res, nil
-			}
-		}
-		misplaced := 0
-		for m := p; m < n-s; m++ {
-			if int(cells[rankFlat[m]]) != min+m {
-				misplaced++
-			}
-		}
-		return res, &ErrStepLimit{Algorithm: plan.name, MaxSteps: maxSteps, Misplaced: misplaced}
-	}
-
-	recount := func() int {
-		mis := 0
-		for m := 0; m < n; m++ {
-			if int(cells[rankFlat[m]]) != min+m {
-				mis++
-			}
-		}
-		return mis
-	}
-	bound := tr.Misplaced()
-	for t := 1; t <= maxSteps; t++ {
-		ph := &plan.phases[pi]
-		if pi++; pi == period {
-			pi = 0
-		}
-		swaps := 0
-		for _, cmp := range ph.comps {
-			lo, hi := int(cmp.Lo), int(cmp.Hi)
-			a, b := cells[lo], cells[hi]
-			if a > b {
-				cells[lo], cells[hi] = b, a
-				swaps++
-			}
-		}
-		res.Swaps += int64(swaps)
-		res.Comparisons += int64(len(ph.comps))
-		if bound -= 2 * swaps; bound <= 0 {
-			m := recount()
-			if m == 0 {
-				res.Steps = t
-				res.Sorted = true
-				return res, nil
-			}
-			bound = m
-		}
-	}
-	return res, &ErrStepLimit{Algorithm: plan.name, MaxSteps: maxSteps, Misplaced: recount()}
 }
 
 // ApplyStep applies one step's comparators to g in place (sequentially)

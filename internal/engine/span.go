@@ -21,19 +21,19 @@ type Kernel int
 const (
 	// KernelAuto picks the span kernel whenever the schedule has a span
 	// plan (its steps are disjoint and monotone), falling back to the
-	// comparator path otherwise. This is the default.
+	// general loop otherwise. This is the default.
 	KernelAuto Kernel = iota
-	// KernelGeneric forces the comparator-slice path (the pre-span
-	// engine), which is also what non-permutation inputs always use.
+	// KernelGeneric forces the general tracker loop, which is also what
+	// non-permutation inputs always use.
 	KernelGeneric
 	// KernelSpan requests the span kernel. Runs that are not eligible for
 	// any fast path (observers, custom trackers, duplicate values) or
-	// whose schedule has no span plan silently fall back to the generic
-	// path, so the option is a hint, never an error.
+	// whose schedule has no span plan silently fall back to the general
+	// loop, so the option is a hint, never an error.
 	KernelSpan
-	// KernelSliced requests the trial-sliced 0-1 kernel (64 trials of one
-	// cell per word), mcbatch's default for ZeroOne batches. It is a
-	// batch-level hint: the engine itself treats it as KernelAuto.
+	// KernelSliced names the trial-sliced 0-1 kernel (64 trials of one
+	// cell per word), mcbatch's executor for ZeroOne batches. It is a
+	// batch-level name: the engine itself treats it as KernelAuto.
 	KernelSliced
 	// KernelSpanSharded requests the sharded span executor: the span
 	// kernel's phases partitioned into contiguous row blocks executed
@@ -121,7 +121,24 @@ type spanPhase struct {
 // every phase as bands. A plan only exists for schedules whose steps are
 // pairwise disjoint and monotone (every comparator sends the smaller
 // value to the strictly lower target rank), which is what makes the
-// settled-window argument of runDistinctLazy carry over unchanged.
+// kernel's two exact accelerations sound:
+//
+// Settled windows. Once the P lowest target ranks hold their final values
+// (the P smallest values, in position), no comparator can disturb them: a
+// comparator whose min destination is settled compares one of the P
+// smallest values against a necessarily larger one and never swaps, and
+// by monotonicity a comparator cannot have only its max destination
+// settled. The settled prefix therefore only grows, and the comparators
+// it covers are skipped outright. A settled suffix of the S largest
+// values is symmetric. Skipped comparators still count as comparisons
+// (the synchronous machine evaluates them; the kernel just knows their
+// outcome), so Steps, Swaps, and Comparisons are bit-identical to the
+// general loop.
+//
+// Completion. The grid is sorted exactly when P+S covers every rank, and
+// extending P and S after each step stops at the first unsettled rank,
+// so detection is O(1) amortized per step and the first sorted step is
+// reported exactly.
 type spanPlan struct {
 	name       string
 	n          int
@@ -265,7 +282,8 @@ func (p *spanPlan) set(sh unsafe.Pointer, i int32, v uint32) {
 // spanPlans caches plans for shared compiled schedules; a nil entry
 // records "no span plan" (overlapping or non-monotone steps) so
 // ineligible schedules are not re-examined on every run. Ad-hoc schedule
-// values get a fresh plan per run, mirroring lazyPlans.
+// values get a fresh plan per run, so repeated one-off constructions
+// cannot grow the map without bound.
 var spanPlans sync.Map // *sched.Compiled -> *spanPlan (nil = ineligible)
 
 func spanPlanFor(s sched.Schedule, g *grid.Grid) *spanPlan {
@@ -626,12 +644,11 @@ func execBands[T uint16 | uint32](sh unsafe.Pointer, bands []band, cur, win []in
 // trim advances row j's pair cursors past the pairs the settled windows
 // cover and returns the row's active pairs [kLo, kHi). A pair whose min
 // destination is already in the settled prefix (lr < p) or whose max
-// destination is in the settled suffix (hr >= n−s) cannot swap — the
-// same rule runDistinctLazy trims by. Affine ranks put all such pairs at
-// the row's ends, one end per sign of the pitch (a one-pair row has zero
-// pitch and is left to the row window). The settled windows only grow,
-// so the cursors only advance and the trims are amortized O(1) over a
-// run.
+// destination is in the settled suffix (hr >= n−s) cannot swap (see
+// spanPlan for why). Affine ranks put all such pairs at the row's ends,
+// one end per sign of the pitch (a one-pair row has zero pitch and is
+// left to the row window). The settled windows only grow, so the cursors
+// only advance and the trims are amortized O(1) over a run.
 //
 //meshlint:hot
 func trim(b *band, cur []int32, j, p32, ns32 int32) (int32, int32) {
@@ -675,8 +692,8 @@ func resetCursors(bands []band, cur, win []int32) {
 // runDistinctSpans is the span kernel: the permutation fast path executed
 // as band sweeps instead of comparator slices. The sweeps are branchless
 // SWAR loops over the narrow shadow (see sweep), and the settled-window
-// machinery of runDistinctLazy carries over at row granularity: once
-// the P smallest values occupy their final cells, a row whose every
+// argument (see spanPlan) applies at row granularity: once the P
+// smallest values occupy their final cells, a row whose every
 // min-destination rank lies below P cannot swap and is skipped whole
 // (symmetrically for the suffix), so the early exit fires on exactly the
 // same step. Skipped rows still count their comparisons, so Steps,

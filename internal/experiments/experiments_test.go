@@ -71,25 +71,76 @@ func TestAllExperimentsQuick(t *testing.T) {
 // TestAllExperimentsFull pins the tables EXPERIMENTS.md quotes: every
 // experiment at full size and seed 1, as `go run ./cmd/experiments -seed
 // 1` renders them, must hold its claims and reproduce the sha256 in
-// testdata/full_digests.json. Tables do not depend on the trial-worker
+// testdata/full_digests.json, and every `|` row under an `## E..` heading
+// of EXPERIMENTS.md must appear verbatim in that experiment's
+// `-format markdown` render. Tables do not depend on the trial-worker
 // count (TestAllExperimentsQuick checks two), so it runs one, and it
-// takes about 25 s on two cores, so -short skips it. The change rule is quick_digests.json's: regenerate
-// with `go test ./internal/experiments/ -run TestAllExperimentsFull
-// -update`, record it in CHANGES.md, and regenerate the EXPERIMENTS.md
-// rows it moves.
+// takes about 25 s on two cores, so -short skips it. The change rule is
+// quick_digests.json's: regenerate with `go test ./internal/experiments/
+// -run TestAllExperimentsFull -update`, record it in CHANGES.md, and
+// regenerate the EXPERIMENTS.md rows it moves.
 func TestAllExperimentsFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size experiment suite skipped in -short mode")
 	}
-	checkDigests(t, fullDigestsPath, Config{Seed: 1}, []int{2})
+	outs := checkDigests(t, fullDigestsPath, Config{Seed: 1}, []int{2})
+	checkQuotedRows(t, "../../EXPERIMENTS.md", outs)
+}
+
+// checkQuotedRows requires every table row under an `## E..` heading of
+// the markdown file at path to be a line of that experiment's tables as
+// Table.Markdown renders them in outs. Prose is not checked.
+func checkQuotedRows(t *testing.T, path string, outs map[string]*Outcome) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered := map[string]map[string]bool{}
+	for id, out := range outs {
+		var buf strings.Builder
+		for _, tb := range out.Tables {
+			if err := tb.Markdown(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rendered[id] = map[string]bool{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			rendered[id][line] = true
+		}
+	}
+	id, rows := "", 0
+	for i, line := range strings.Split(string(raw), "\n") {
+		if heading, ok := strings.CutPrefix(line, "## "); ok {
+			id, _, _ = strings.Cut(heading, " ")
+			if len(id) != 3 || id[0] != 'E' {
+				id = ""
+			}
+			continue
+		}
+		if id == "" || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		lines, ok := rendered[id]
+		if !ok {
+			t.Errorf("%s:%d: quotes %s, which did not render", path, i+1, id)
+			continue
+		}
+		if !lines[line] {
+			t.Errorf("%s:%d: %s row is not in its fresh render: %s", path, i+1, id, line)
+		}
+		rows++
+	}
+	if rows == 0 {
+		t.Errorf("%s: no table rows under any experiment heading", path)
+	}
 }
 
 // checkDigests runs every experiment under cfg once per trial-worker
 // count, requires each run to hold its claims and every count to render
 // the same tables, and compares the sha256 of each experiment's rendered
 // tables with the digest stored at path (rewriting the file under
-// -update).
-func checkDigests(t *testing.T, path string, cfg Config, workerCounts []int) {
+// -update). It returns each experiment's outcome from the last count.
+func checkDigests(t *testing.T, path string, cfg Config, workerCounts []int) map[string]*Outcome {
 	var want map[string]string
 	if !*updateDigests {
 		raw, err := os.ReadFile(path)
@@ -101,6 +152,7 @@ func checkDigests(t *testing.T, path string, cfg Config, workerCounts []int) {
 		}
 	}
 	got := map[string]string{}
+	outs := map[string]*Outcome{}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -137,6 +189,7 @@ func checkDigests(t *testing.T, path string, cfg Config, workerCounts []int) {
 						t.Fatalf("%s: tables differ between trial-worker counts: %s vs %s", e.ID, prev, sum)
 					}
 					got[e.ID] = sum
+					outs[e.ID] = out
 					if want != nil && want[e.ID] != sum {
 						t.Errorf("%s: tables sha256 %s, golden %s", e.ID, sum, want[e.ID])
 					}
@@ -153,13 +206,14 @@ func checkDigests(t *testing.T, path string, cfg Config, workerCounts []int) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s: %d experiments", path, len(got))
-		return
+		return outs
 	}
 	for id := range want {
 		if _, ok := got[id]; !ok {
 			t.Errorf("%s: golden experiment no longer registered", id)
 		}
 	}
+	return outs
 }
 
 func TestOutcomeCheckAndNote(t *testing.T) {

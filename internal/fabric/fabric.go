@@ -265,7 +265,7 @@ func (c *Coordinator) RunReport(ctx context.Context, spec mcbatch.Spec) (*mcbatc
 		all = append(all, trials[i]...)
 		partials = append(partials, parts[i]...)
 	}
-	b := &mcbatch.Batch{Trials: all, Shards: 1}
+	b := &mcbatch.Batch{Trials: all}
 	b.Steps = stats.MergeAll(partials)
 	if !welfordBitsEqual(b.Steps, mcbatch.AggregateSteps(all)) {
 		// Unreachable while shards are slice-aligned (each partial was
@@ -291,7 +291,7 @@ func (c *Coordinator) executeShard(ctx context.Context, spec mcbatch.Spec, sh Sh
 	sub := spec
 	sub.TrialOffset = spec.TrialOffset + sh.Offset
 	sub.Trials = sh.Trials
-	sub.Workers, sub.Kernel, sub.Shards = 0, 0, 0
+	sub.Workers, sub.Kernel = 0, 0
 	rep := ShardReport{Offset: sub.TrialOffset, Trials: sub.Trials}
 
 	key, err := sub.Hash()

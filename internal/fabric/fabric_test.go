@@ -22,6 +22,13 @@ import (
 // switch).
 func newWorker(t *testing.T, failing *atomic.Bool) *httptest.Server {
 	t.Helper()
+	return newWorkerEncoding(t, failing, func(resp ShardResponse) ([]byte, error) { return json.Marshal(resp) })
+}
+
+// newWorkerEncoding is newWorker with the response body produced by
+// encode, so a test can stand in for a worker of another version.
+func newWorkerEncoding(t *testing.T, failing *atomic.Bool, encode func(ShardResponse) ([]byte, error)) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if failing != nil && failing.Load() {
@@ -55,7 +62,12 @@ func newWorker(t *testing.T, failing *atomic.Bool) *httptest.Server {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(BuildShardResponse(key.String(), b))
+		body, err := encode(BuildShardResponse(key.String(), b))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Write(body)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -137,6 +149,31 @@ func TestRunMatchesSingleNode(t *testing.T) {
 		if st := c.Stats(); st.ShardsRemote != 6 || st.ShardsLocal != 0 {
 			t.Fatalf("%d peers: stats %+v, want 6 remote shards", peers, st)
 		}
+	}
+}
+
+// TestCoordinatorAcceptsOlderWorkerResponse pins the mixed-version
+// fleet: a worker from before the shards hint was retired answers with
+// "shards":2 and the "span-sharded" kernel, and the coordinator, which
+// decodes shard responses leniently, merges every shard into the same
+// payload as a single-node run.
+func TestCoordinatorAcceptsOlderWorkerResponse(t *testing.T) {
+	old := newWorkerEncoding(t, nil, func(resp ShardResponse) ([]byte, error) {
+		resp.Kernel = "span-sharded"
+		body, err := json.Marshal(resp)
+		if err != nil {
+			return nil, err
+		}
+		return append([]byte(`{"shards":2,`), body[1:]...), nil
+	})
+	c := newTestCoordinator(t, Config{Peers: []string{old.URL}, ShardTrials: 64})
+	b, err := c.Run(context.Background(), testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, testSpec, b)
+	if st := c.Stats(); st.ShardsRemote != 6 || st.ShardsLocal != 0 || st.Retries != 0 {
+		t.Fatalf("stats %+v, want 6 remote shards accepted at the first attempt", st)
 	}
 }
 

@@ -70,8 +70,8 @@ func RequestFromSpec(s mcbatch.Spec) (ShardRequest, error) {
 }
 
 // ToSpec reconstructs the sub-Spec a worker should run. Execution hints
-// are left zero so the worker's own registry/tuner picks the executor —
-// a choice that cannot change results.
+// are left zero, so the worker runs the class's kernel — a choice that
+// cannot change results.
 func (r ShardRequest) ToSpec() (mcbatch.Spec, error) {
 	alg, err := core.ByName(r.Algorithm)
 	if err != nil {
@@ -126,10 +126,9 @@ type ShardResponse struct {
 	// its own hash of the same sub-Spec — the cheap guard against
 	// version drift between nodes.
 	Key string `json:"key"`
-	// Kernel and Shards record how the worker executed the shard;
+	// Kernel records the kernel the worker executed the shard with;
 	// observability only.
 	Kernel string `json:"kernel,omitempty"`
-	Shards int    `json:"shards,omitempty"`
 
 	Steps       []int         `json:"steps"`
 	Swaps       []int64       `json:"swaps"`
@@ -142,7 +141,6 @@ func BuildShardResponse(key string, b *mcbatch.Batch) ShardResponse {
 	resp := ShardResponse{
 		Key:         key,
 		Kernel:      core.KernelName(b.Kernel),
-		Shards:      b.Shards,
 		Steps:       make([]int, len(b.Trials)),
 		Swaps:       make([]int64, len(b.Trials)),
 		Comparisons: make([]int64, len(b.Trials)),

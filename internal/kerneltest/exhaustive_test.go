@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/sched"
+	"repro/internal/zeroone"
 )
 
 // TestExhaustiveTinyPermutations runs every permutation of every mesh of
@@ -138,4 +139,70 @@ func exhaust(t *testing.T, alg string, rows, cols, shardEvery int) int64 {
 		}
 	}
 	return total
+}
+
+// TestExhaustive4x4ZeroOne runs all 2^16 0-1 inputs of the 4×4 mesh, as
+// 1,024 batches of 64 lanes, through the trial-sliced kernel under each
+// of the six schedules, and requires every lane's Result, error and final
+// grid to equal RefRun's. Each schedule's largest step count must be its
+// exact 4×4 worst case as EXPERIMENTS.md E16 records it. E16 reaches
+// those numbers through sortnet.ExactWorstCaseSteps, one grid at a time
+// on the engine's general loop, so the two routes share no executor.
+func TestExhaustive4x4ZeroOne(t *testing.T) {
+	const rows, cols, n = 4, 4, 16
+	for _, tc := range []struct {
+		alg   string
+		worst int
+	}{
+		{"rm-rf", 23}, {"rm-cf", 24}, {"snake-a", 27}, {"snake-b", 29}, {"snake-c", 29}, {"shearsort", 18},
+	} {
+		tc := tc
+		t.Run(tc.alg, func(t *testing.T) {
+			t.Parallel()
+			s, err := sched.Cached(tc.alg, rows, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := zeroone.CachedSliced(tc.alg, rows, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := zeroone.NewTrialSlice(rows, cols)
+			in, ref, out := grid.New(rows, cols), grid.New(rows, cols), grid.New(rows, cols)
+			fill := func(g *grid.Grid, mask int) {
+				for f := range g.Cells() {
+					g.Cells()[f] = mask >> f & 1
+				}
+			}
+			worst := 0
+			for lo := 0; lo < 1<<n; lo += 64 {
+				ts.Reset()
+				for mask := lo; mask < lo+64; mask++ {
+					fill(in, mask)
+					ts.AddGrid(in)
+				}
+				results, errs, err := zeroone.SortSliced(ts, ss, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range results {
+					fill(ref, lo+k)
+					want, wantErr := RefRun(ref, s, 0)
+					var laneErr error
+					if errs != nil {
+						laneErr = errs[k]
+					}
+					ts.ExtractInto(k, out)
+					if msg := diffErrors(wantErr, laneErr); msg != "" || results[k] != want || !out.Equal(ref) {
+						t.Fatalf("%s 4x4 input %#x: %+v/%v, reference %+v/%v (grids equal: %v)",
+							tc.alg, lo+k, results[k], laneErr, want, wantErr, out.Equal(ref))
+					}
+					worst = max(worst, want.Steps)
+				}
+			}
+			if worst != tc.worst {
+				t.Errorf("%s 4x4: worst case %d steps over all 0-1 inputs, E16 pins %d", tc.alg, worst, tc.worst)
+			}
+		})
+	}
 }

@@ -1,12 +1,16 @@
 // Package kerneltest is the shared differential harness that proves every
-// registered executor family bit-identical. It grew out of the per-kernel
-// comparison loops that had accreted in the engine, zeroone, and mcbatch
-// test suites; those suites now call into this one source of truth, so a
-// new kernel gets the full matrix — schedules × shapes (odd, rectangular,
-// single row/column, >64 cells) × workloads × step caps × worker counts —
-// by being registered, not by copying a loop. Besides the production
+// executor bit-identical. It grew out of the per-kernel comparison loops
+// that had accreted in the engine, zeroone, and mcbatch test suites;
+// those suites now call into this one source of truth, so every executor
+// gets the full matrix — schedules × shapes (odd, rectangular, single
+// row/column, >64 cells) × workloads × step caps × worker counts — from
+// one listing (Executors) rather than a copied loop. Batches are compared
+// between the class's served kernel (span for permutations, trial-sliced
+// for 0-1 inputs) and the engine's general loop. Besides the production
 // executors it runs the threshold-sliced 0-1-principle oracle
-// (zeroone.SortThresholds), which no batch path serves.
+// (zeroone.SortThresholds), which no batch path serves, and the sharded
+// span executor, which only the engine's tests and the benchmark's
+// layer replay reach.
 //
 // Equality is strict everywhere: engine.Result structs, final grids, and
 // errors including the exact ErrStepLimit fields. The baseline is an
@@ -26,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/mcbatch"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -309,14 +312,11 @@ func compareLockstep(t *testing.T, prefix string, ss *zeroone.SlicedSchedule, ma
 	}
 }
 
-// BatchKernels returns every kernel hint worth pinning for a batch of the
-// given class — KernelAuto first, then each registered eligible kernel.
-func BatchKernels(zeroOne bool) []core.Kernel {
-	out := []core.Kernel{core.KernelAuto}
-	for _, e := range kernels.Eligible(kernels.ClassOf(zeroOne)) {
-		out = append(out, e.ID)
-	}
-	return out
+// BatchKernels returns the two executors a batch can run on: KernelAuto,
+// the class's kernel (span for permutations, trial-sliced for 0-1
+// batches), and KernelGeneric, the engine's general loop.
+func BatchKernels() []core.Kernel {
+	return []core.Kernel{core.KernelAuto, core.KernelGeneric}
 }
 
 // batchReport is the JSON rendering CompareBatches compares byte for
@@ -338,8 +338,8 @@ func reportJSON(b *mcbatch.Batch) ([]byte, error) {
 	})
 }
 
-// CompareBatches runs spec under every registered kernel hint of its
-// class crossed with every worker count and requires identical outcomes:
+// CompareBatches runs spec under both BatchKernels crossed with every
+// worker count and requires identical outcomes:
 // the per-trial results, the Welford aggregate, the JSON report (byte
 // for byte), and — for failing specs — the error string. It returns the
 // reference batch (nil when the spec fails).
@@ -355,7 +355,7 @@ func CompareBatches(t *testing.T, spec mcbatch.Spec, workers []int) *mcbatch.Bat
 		refLabel string
 		first    = true
 	)
-	for _, k := range BatchKernels(spec.ZeroOne) {
+	for _, k := range BatchKernels() {
 		for _, w := range workers {
 			spec.Kernel = k
 			spec.Workers = w

@@ -75,8 +75,8 @@ func TestLockstepFullWidth(t *testing.T) {
 	kerneltest.Compare(t, "shearsort", rows, cols, 5, cases)
 }
 
-// TestBatchKernelMatrix crosses every registered kernel hint with worker
-// counts on both workload classes and requires byte-identical batches.
+// TestBatchKernelMatrix crosses both batch executors with worker counts
+// on both workload classes and requires byte-identical batches.
 func TestBatchKernelMatrix(t *testing.T) {
 	spec := mcbatch.Spec{
 		Algorithm: core.SnakeB, Rows: 8, Cols: 8, Trials: 48, Seed: 42,
@@ -84,14 +84,6 @@ func TestBatchKernelMatrix(t *testing.T) {
 	if b := kerneltest.CompareBatches(t, spec, []int{1, 3, 8}); b == nil {
 		t.Fatal("permutation batch failed")
 	}
-	// Pin explicit shards: the sharded executor really engages (the auto
-	// split would fall back to serial span on a small host) and the batch
-	// stays byte-identical across every kernel × worker combination.
-	spec.Shards = 2
-	if b := kerneltest.CompareBatches(t, spec, []int{1, 3, 8}); b == nil {
-		t.Fatal("explicitly sharded permutation batch failed")
-	}
-	spec.Shards = 0
 	spec.ZeroOne = true
 	if b := kerneltest.CompareBatches(t, spec, []int{1, 3, 8}); b == nil {
 		t.Fatal("zeroone batch failed")
@@ -115,10 +107,10 @@ func TestBatchStepLimitErrors(t *testing.T) {
 	}
 }
 
-// TestBatchThresholdFallsBackOnDuplicates pins the permutation hints'
+// TestBatchThresholdFallsBackOnDuplicates pins the permutation class's
 // never-error contract on grids the threshold oracle rejects: a custom
 // Gen producing non-permutations must still yield identical batches
-// under every kernel hint (the span hints fall back to the generic path
+// under both executors (the span kernel falls back to the general loop
 // per trial).
 func TestBatchThresholdFallsBackOnDuplicates(t *testing.T) {
 	spec := mcbatch.Spec{

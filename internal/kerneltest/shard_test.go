@@ -1,17 +1,13 @@
 package kerneltest_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/kerneltest"
-	"repro/internal/mcbatch"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -82,39 +78,6 @@ func TestShardedLargeOddSides(t *testing.T) {
 		runShardPair(t, "shearsort", 257, 257, cap, []int{2, 3, 8})
 	}
 	runShardPair(t, "snake-b", 257, 129, 1+257%5, []int{3, 5})
-}
-
-// TestShardedBatchContention is the race detector's target: sharded
-// trials running on concurrent batch workers, so intra-trial shard
-// goroutines from different trials overlap. Results must still match a
-// serial one-worker span batch exactly.
-func TestShardedBatchContention(t *testing.T) {
-	spec := mcbatch.Spec{
-		Algorithm: core.SnakeA, Rows: 20, Cols: 20, Trials: 12, Seed: 17,
-		Kernel: core.KernelSpan, Workers: 1,
-	}
-	ref, err := mcbatch.RunCtx(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		for _, shards := range []int{2, 3} {
-			spec.Kernel = core.KernelSpanSharded
-			spec.Workers = workers
-			spec.Shards = shards
-			b, err := mcbatch.RunCtx(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.Kernel != core.KernelSpanSharded || b.Shards != shards {
-				t.Fatalf("workers=%d shards=%d: batch ran kernel=%s shards=%d, want pinned span-sharded",
-					workers, shards, core.KernelName(b.Kernel), b.Shards)
-			}
-			if !reflect.DeepEqual(b.Trials, ref.Trials) || b.Steps != ref.Steps {
-				t.Fatalf("workers=%d shards=%d: sharded batch diverged from serial span batch", workers, shards)
-			}
-		}
-	}
 }
 
 // TestLaneWidthBoundary runs every schedule on meshes either side of the

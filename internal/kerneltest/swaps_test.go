@@ -63,7 +63,7 @@ func TestSwapsMatchInversions(t *testing.T) {
 					}
 					want[i] = inversions(g, alg.Order())
 				}
-				for _, k := range kerneltest.BatchKernels(zeroOne) {
+				for _, k := range kerneltest.BatchKernels() {
 					spec.Kernel = k
 					label := fmt.Sprintf("%s 1x%d zeroone=%v kernel=%s", alg.ShortName(), cols, zeroOne, core.KernelName(k))
 					b, err := mcbatch.RunCtx(context.Background(), spec)

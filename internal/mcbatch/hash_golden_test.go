@@ -71,7 +71,6 @@ func TestHashGoldenVectors(t *testing.T) {
 	hinted := vectors[2].spec
 	hinted.Workers = 7
 	hinted.Kernel = core.KernelSpan
-	hinted.Shards = 3
 	key, err := hinted.Hash()
 	if err != nil {
 		t.Fatal(err)

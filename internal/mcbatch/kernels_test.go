@@ -1,7 +1,6 @@
 package mcbatch_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -12,9 +11,9 @@ import (
 
 // The per-kernel agreement loops that used to accrete here — span vs
 // generic, sliced vs generic, a worker-count sweep per kernel family —
-// are one harness now: kerneltest.CompareBatches crosses every
-// kernel hint registered for the batch's class with worker counts and
-// requires byte-identical reports. This file is in the external test
+// are one harness now: kerneltest.CompareBatches crosses the class's
+// kernel and the engine's general loop with worker counts and requires
+// byte-identical reports. This file is in the external test
 // package because kerneltest imports mcbatch.
 //
 // Trial counts straddle the 64-trial block size (ragged lockstep tails,
@@ -41,8 +40,8 @@ func TestKernelWorkerMatrix(t *testing.T) {
 
 // TestKernelWorkerMatrixStepLimit is the failure-path cross: a cap of 2
 // steps fails every trial, and the reported error — the scalar engine's,
-// for the smallest failing trial index — must be identical under every
-// kernel hint and worker count.
+// for the smallest failing trial index — must be identical under both
+// executors and every worker count.
 func TestKernelWorkerMatrixStepLimit(t *testing.T) {
 	for _, zeroOne := range []bool{false, true} {
 		spec := mcbatch.Spec{
@@ -51,35 +50,6 @@ func TestKernelWorkerMatrixStepLimit(t *testing.T) {
 		}
 		if b := kerneltest.CompareBatches(t, spec, []int{1, 8}); b != nil {
 			t.Fatalf("zeroone=%v: MaxSteps=2 batch unexpectedly sorted", zeroOne)
-		}
-	}
-}
-
-// TestPinnedShardsReportWhatRuns pins the reporting of a pinned shard
-// count: the Batch carries the count the engine runs after clamping it
-// to the row count and the 64-shard cap, and a count that clamps to one
-// shard reports the serial span kernel that runs instead.
-func TestPinnedShardsReportWhatRuns(t *testing.T) {
-	for _, tc := range []struct {
-		rows, cols, shards int
-		kernel             core.Kernel
-		want               int
-	}{
-		{2, 64, 8, core.KernelSpanSharded, 2},
-		{1, 64, 2, core.KernelSpan, 1},
-		{200, 4, 100, core.KernelSpanSharded, 64},
-	} {
-		spec := mcbatch.Spec{
-			Algorithm: core.SnakeA, Rows: tc.rows, Cols: tc.cols, Trials: 3, Seed: 1,
-			Kernel: core.KernelSpanSharded, Shards: tc.shards,
-		}
-		b, err := mcbatch.RunCtx(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("%dx%d shards=%d: %v", tc.rows, tc.cols, tc.shards, err)
-		}
-		if b.Kernel != tc.kernel || b.Shards != tc.want {
-			t.Errorf("%dx%d shards=%d: reported %s/%d, want %s/%d", tc.rows, tc.cols, tc.shards,
-				core.KernelName(b.Kernel), b.Shards, core.KernelName(tc.kernel), tc.want)
 		}
 	}
 }

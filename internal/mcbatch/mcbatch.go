@@ -14,20 +14,18 @@
 //   - Per-trial statistics aggregate into a Welford accumulator per fixed
 //     64-trial slice, merged in slice order (stats.MergeAll), so the
 //     floating-point aggregate is deterministic for every worker count
-//     and kernel family.
+//     and executor.
 //   - Workers reuse their scratch (generator, input grid or packed
 //     lanes, trial slice) across the trials they claim, so the
 //     steady-state trial loop allocates nothing per trial for the
 //     canonical workloads.
-//   - Executor selection goes through the kernel registry and tuner
-//     (internal/kernels): Spec.Kernel pins a family that serves the
-//     batch's workload class; otherwise the $MESHSORT_KERNEL override, a
-//     calibrated choice, or the static priors pick one. The priors keep
-//     the measured defaults — the engine's span kernel for permutation
-//     trials (SWAR sweeps of unit-stride runs) and the trial-sliced 0-1
-//     kernel for ZeroOne batches (64 trials in lockstep, one bit lane
-//     each) — and every registered kernel of a class is bit-identical on
-//     it, so the choice can never change results.
+//   - Each workload class has one executor: permutation batches run the
+//     engine's span kernel (SWAR sweeps of unit-stride runs) and ZeroOne
+//     batches the trial-sliced 0-1 kernel (64 trials in lockstep, one bit
+//     lane each). Spec.Kernel = KernelGeneric pins the engine's general
+//     loop instead, the reference the differential harness
+//     (internal/kerneltest) compares batches against; every executor is
+//     bit-identical on its class, so the choice never changes results.
 package mcbatch
 
 import (
@@ -36,12 +34,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -64,8 +60,7 @@ import (
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return mapWorkers(ctx, workers, n,
 		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (T, error) { return fn(i) },
-		nil)
+		func(_ struct{}, i int) (T, error) { return fn(i) })
 }
 
 // mapWorkers is MapCtx plus per-worker scratch state: every goroutine of
@@ -74,10 +69,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // never shared between concurrent calls. Determinism is untouched — which
 // worker (and thus which scratch) serves an index may vary, so fn must
 // treat the scratch as reusable storage only, never as carried state.
-// cleanup, if non-nil, runs on each worker's scratch before the worker
-// exits — the release hook for scratch that owns resources (the sharded
-// span kernel's goroutine pool).
-func mapWorkers[S, T any](ctx context.Context, workers, n int, newState func() S, fn func(state S, i int) (T, error), cleanup func(S)) ([]T, error) {
+func mapWorkers[S, T any](ctx context.Context, workers, n int, newState func() S, fn func(state S, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, ctx.Err()
@@ -96,9 +88,6 @@ func mapWorkers[S, T any](ctx context.Context, workers, n int, newState func() S
 		go func() {
 			defer wg.Done()
 			state := newState()
-			if cleanup != nil {
-				defer cleanup(state)
-			}
 			for ctx.Err() == nil {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
@@ -157,28 +146,17 @@ type Spec struct {
 	Workers int
 	// MaxSteps caps each trial; 0 uses engine.DefaultMaxSteps.
 	MaxSteps int
-	// ZeroOne routes trials through the 0-1 kernels. Gen must then produce
-	// grids holding only 0s and 1s (nil Gen draws half-0/half-1 grids).
+	// ZeroOne routes trials through the trial-sliced 0-1 kernel. Gen must
+	// then produce grids holding only 0s and 1s (nil Gen draws
+	// half-0/half-1 grids).
 	ZeroOne bool
-	// Kernel selects the executor family; it is a hint that cannot change
-	// results. The zero value, core.KernelAuto, asks the kernel registry
-	// and tuner (internal/kernels) to choose — the span kernel for
-	// permutation batches and the trial-sliced kernel for ZeroOne batches
-	// unless a calibration or $MESHSORT_KERNEL says otherwise. A hint
-	// naming a kernel of the batch's class (permutation: generic, span,
-	// span-sharded; ZeroOne: generic, sliced) pins that executor; a hint
-	// from the other class is treated as Auto, so the option is never an
-	// error.
+	// Kernel is an execution hint that cannot change results, excluded
+	// from Spec.Hash like Workers. core.KernelGeneric pins the engine's
+	// general loop, the batch reference of the differential harness;
+	// any other value, the zero value included, runs the class's kernel:
+	// span for permutation batches, trial-sliced for ZeroOne batches. No
+	// value is an error.
 	Kernel core.Kernel
-	// Shards is the intra-trial row-shard count for the sharded span
-	// executor; it matters only when that kernel runs. 0 resolves
-	// automatically under the two-level budget (see splitParallelism):
-	// trial workers × shards ≤ GOMAXPROCS. An explicit positive value
-	// pins the count, clamped like every sharded run by
-	// engine.ClampShards (at most one shard per row, at most 64).
-	// Another execution hint that can never change results — it is
-	// excluded from Spec.Hash like Workers and Kernel.
-	Shards int
 }
 
 // DefaultStream is the harness's seeding scheme for square-mesh step
@@ -244,15 +222,10 @@ type Batch struct {
 	// per fixed 64-trial slice, merged in slice order (deterministic under
 	// any worker count and kernel family).
 	Steps stats.Welford
-	// Kernel records the executor family the batch actually ran with —
-	// the resolved hint, after registry/tuner selection and any
-	// downgrade (a sharded request that resolves to one shard runs the
-	// serial span kernel and reports it). Execution metadata for
-	// observability; never part of a result payload.
+	// Kernel records the executor the batch ran with: span, sliced or
+	// generic. Execution metadata for observability; never part of a
+	// result payload.
 	Kernel core.Kernel
-	// Shards records the effective intra-trial shard count (1 for every
-	// unsharded executor). Execution metadata like Kernel.
-	Shards int
 }
 
 // StepCounts returns the per-trial step counts in trial order.
@@ -334,26 +307,19 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 		return g, nil
 	}
 
-	class := kernels.ClassOf(spec.ZeroOne)
-	kern := resolveKernel(ctx, spec, seed, stream, makeInput)
-	shards := 1
-	if kern == core.KernelSpanSharded {
-		// Resolve the two-level budget once, here, so the effective split
-		// is recorded on the Batch; a request that resolves to a single
-		// shard downgrades to the serial span kernel (identical results,
-		// honest reporting).
-		if _, s := splitParallelism(spec); s > 1 {
-			shards = s
-		} else {
-			kern = core.KernelSpan
-		}
-	}
-	run, ok := runners[class][kern]
-	if !ok {
-		// Unreachable while the runner table covers the registry; kept so
-		// a registry entry added without a runner degrades to the static
-		// default instead of a nil call.
-		run = runners[class][kernels.Fallback(class)]
+	// One executor per workload class; a Generic pin runs the engine's
+	// general loop instead.
+	var (
+		kern core.Kernel
+		run  runner
+	)
+	switch {
+	case spec.Kernel == core.KernelGeneric:
+		kern, run = core.KernelGeneric, runEngine(core.KernelGeneric)
+	case spec.ZeroOne:
+		kern, run = core.KernelSliced, runSliced
+	default:
+		kern, run = core.KernelSpan, runEngine(core.KernelSpan)
 	}
 	trials, err := run(ctx, spec, seed, stream, makeInput)
 	if err != nil {
@@ -365,91 +331,14 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 		}
 		return nil, err
 	}
-	b := &Batch{Trials: trials, Kernel: kern, Shards: shards}
+	b := &Batch{Trials: trials, Kernel: kern}
 	b.Steps = AggregateSteps(trials)
 	return b, nil
-}
-
-// splitParallelism resolves the two-level parallelism budget of a batch:
-// trial workers (outer level) × row shards per trial (inner level) ≤
-// GOMAXPROCS. It matters only when a hint, $MESHSORT_KERNEL or a
-// calibration pins the sharded kernel; automatic selection never picks
-// it. Across-trial parallelism claims procs first — it scales without
-// any barrier cost — so a shard count left at 0 only takes the procs the
-// trial pool leaves idle. An explicit Spec.Shards pins the inner level
-// like a kernel hint, clamped by the same engine.ClampShards the engine
-// applies, so the Batch reports the count that runs. No split can change
-// results: every (workers, shards) pair is proven bit-identical by the
-// differential suites, so the budget is pure scheduling policy.
-func splitParallelism(spec Spec) (workers, shards int) {
-	procs := runtime.GOMAXPROCS(0)
-	workers = spec.Workers
-	if workers <= 0 {
-		workers = procs
-	}
-	if spec.Trials > 0 && workers > spec.Trials {
-		workers = spec.Trials
-	}
-	if spec.Shards > 0 {
-		return workers, engine.ClampShards(spec.Shards, spec.Rows)
-	}
-	budget := procs / workers
-	if budget < 1 {
-		budget = 1
-	}
-	return workers, engine.AutoShards(spec.Rows, spec.Cols, budget)
 }
 
 // runner executes a batch with one fixed executor family.
 type runner func(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
 	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error)
-
-// runners is the dispatch table behind the kernel registry: one executor
-// adapter per (workload class, kernel) pair that internal/kernels
-// declares eligible. All selection policy lives in the registry + tuner;
-// this table only says how each choice runs.
-var runners = map[kernels.Class]map[core.Kernel]runner{
-	kernels.Permutation: {
-		core.KernelSpan:        runEngine(core.KernelSpan),
-		core.KernelSpanSharded: runSpanSharded,
-		core.KernelGeneric:     runEngine(core.KernelGeneric),
-	},
-	kernels.ZeroOne: {
-		core.KernelSliced:  runSliced,
-		core.KernelGeneric: runEngine(core.KernelGeneric),
-	},
-}
-
-// probeTrials is the pinned batch size of one calibration probe.
-const probeTrials = 4
-
-// resolveKernel asks the registry + tuner which executor family serves
-// the batch. A measured probe is offered only when the process opted in
-// via $MESHSORT_TUNE and the batch is large enough to amortize timing
-// every eligible kernel once; probes run a fixed trial prefix on one
-// worker, so they are deterministic in everything but time.
-//
-//meshlint:exempt detrand calibration probes time kernels by design; the timing picks which bit-identical executor runs and can never change results
-func resolveKernel(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) core.Kernel {
-	class := kernels.ClassOf(spec.ZeroOne)
-	key := kernels.Key{Algorithm: spec.Algorithm.ShortName(), Rows: spec.Rows, Cols: spec.Cols, Class: class}
-	var probe kernels.Probe
-	if kernels.TuningEnabled() && spec.Trials >= 4*probeTrials {
-		probe = func(k core.Kernel) (float64, error) {
-			ps := spec
-			ps.Trials = probeTrials
-			ps.Workers = 1
-			ps.Kernel = k
-			start := time.Now()
-			if _, err := runners[class][k](ctx, ps, seed, stream, makeInput); err != nil {
-				return 0, err
-			}
-			return float64(time.Since(start).Nanoseconds()) / probeTrials, nil
-		}
-	}
-	return kernels.Shared().Resolve(spec.Kernel, key, probe)
-}
 
 // runEngine adapts the scalar engine (with an engine-level kernel hint:
 // generic or span) as a per-trial runner.
@@ -464,56 +353,6 @@ func runEngine(kern core.Kernel) runner {
 				return core.Sort(g, spec.Algorithm, core.Options{MaxSteps: spec.MaxSteps, Kernel: kern})
 			})
 	}
-}
-
-// shardScratch is one trial worker's reusable state for the sharded
-// span kernel: the persistent shard pool (workers + arenas, reused
-// across every trial the worker claims) and the input buffer.
-type shardScratch struct {
-	pool *engine.ShardPool
-	buf  *grid.Grid
-	src  rng.PCG64
-}
-
-// runSpanSharded executes a permutation batch through the sharded span
-// executor. Each trial worker owns one persistent ShardPool sized by the
-// two-level budget, so steady-state trials are allocation-free; the pool
-// is closed when the worker exits. Results are bit-identical to every
-// other permutation runner for any (workers, shards) split.
-func runSpanSharded(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error) {
-	workers, shards := splitParallelism(spec)
-	if shards <= 1 {
-		return runEngine(core.KernelSpan)(ctx, spec, seed, stream, makeInput)
-	}
-	// Warm the shared compiled-schedule cache before the pool starts.
-	spec.Algorithm.Schedule(spec.Rows, spec.Cols)
-	name := spec.Algorithm.ShortName()
-	return mapWorkers(ctx, workers, spec.Trials,
-		func() *shardScratch {
-			return &shardScratch{
-				pool: engine.NewShardPool(shards),
-				buf:  grid.New(spec.Rows, spec.Cols),
-			}
-		},
-		func(st *shardScratch, i int) (Trial, error) {
-			st.src.SeedStream(seed, stream(i))
-			g, err := makeInput(&st.src, st.buf, i)
-			if err != nil {
-				return Trial{}, err
-			}
-			res, err := core.Sort(g, spec.Algorithm, core.Options{
-				MaxSteps:  spec.MaxSteps,
-				Kernel:    core.KernelSpanSharded,
-				Shards:    shards,
-				ShardPool: st.pool,
-			})
-			if err != nil {
-				return Trial{}, fmt.Errorf("%s %dx%d trial %d: %w", name, spec.Rows, spec.Cols, i, err)
-			}
-			return Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}, nil
-		},
-		func(st *shardScratch) { st.pool.Close() })
 }
 
 // trialScratch is one worker's reusable state for the per-trial runners:
@@ -542,8 +381,7 @@ func runPerTrial(ctx context.Context, spec Spec, seed uint64, stream func(int) u
 				return Trial{}, fmt.Errorf("%s %dx%d trial %d: %w", name, spec.Rows, spec.Cols, i, err)
 			}
 			return Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}, nil
-		},
-		nil)
+		})
 }
 
 // slicedScratch is one worker's reusable state for the trial-sliced
@@ -626,8 +464,7 @@ func runSliced(ctx context.Context, spec Spec, seed uint64, stream func(int) uin
 				out[k] = Trial{Steps: results[k].Steps, Swaps: results[k].Swaps, Comparisons: results[k].Comparisons}
 			}
 			return out, nil
-		},
-		nil)
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -235,20 +234,33 @@ func TestRunRejectsOddColumnRowMajor(t *testing.T) {
 	}
 }
 
-// TestAutoKernelNeverShards pins that automatic selection runs the
-// serial span kernel for a permutation batch with fewer trials than
-// procs on a big mesh: a 1-trial snake-a batch at 512×512, where the
-// trial pool leaves every proc but one idle, resolves to span on every
-// host. The sharded executor lost at every measured side (DESIGN.md §12),
-// so only a hint, $MESHSORT_KERNEL or a calibration selects it. The
-// batch is resolved, not run.
+// TestAutoKernelNeverShards pins the executor each batch reports. With
+// no pin a permutation batch runs the serial span kernel (no batch
+// reaches the sharded executor) and a ZeroOne batch the trial-sliced
+// kernel; a KernelGeneric pin runs the engine's general loop for either
+// class, and every other value runs the class's kernel, never an error.
 func TestAutoKernelNeverShards(t *testing.T) {
-	t.Setenv(kernels.EnvKernel, "")
-	t.Setenv(kernels.EnvTune, "")
-	spec := Spec{Algorithm: core.SnakeA, Rows: 512, Cols: 512, Trials: 1, Seed: 1}
-	k := resolveKernel(context.Background(), spec, spec.Seed, DefaultStream(spec.Algorithm, 512), nil)
-	if k != core.KernelSpan {
-		t.Fatalf("1-trial 512x512 snake-a resolves to %s, want span", core.KernelName(k))
+	for _, tc := range []struct {
+		zeroOne   bool
+		pin, want core.Kernel
+	}{
+		{false, core.KernelAuto, core.KernelSpan},
+		{false, core.KernelSpanSharded, core.KernelSpan},
+		{false, core.KernelSliced, core.KernelSpan},
+		{false, core.KernelGeneric, core.KernelGeneric},
+		{true, core.KernelAuto, core.KernelSliced},
+		{true, core.KernelSpan, core.KernelSliced},
+		{true, core.KernelGeneric, core.KernelGeneric},
+	} {
+		spec := Spec{Algorithm: core.SnakeA, Rows: 8, Cols: 8, Trials: 3, Seed: 1, ZeroOne: tc.zeroOne, Kernel: tc.pin}
+		b, err := RunCtx(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("zeroone=%v pin %s: %v", tc.zeroOne, core.KernelName(tc.pin), err)
+		}
+		if b.Kernel != tc.want {
+			t.Errorf("zeroone=%v pin %s: batch reports %s, want %s", tc.zeroOne,
+				core.KernelName(tc.pin), core.KernelName(b.Kernel), core.KernelName(tc.want))
+		}
 	}
 }
 

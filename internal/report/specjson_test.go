@@ -17,7 +17,7 @@ func TestSpecJSONFieldNames(t *testing.T) {
 	spec := mcbatch.Spec{
 		Algorithm: core.SnakeC, Rows: 4, Cols: 6, Trials: 9, TrialOffset: 128,
 		Seed: 42, MaxSteps: 77, ZeroOne: true,
-		Kernel: core.KernelSliced, Workers: 3, Shards: 2,
+		Kernel: core.KernelSliced, Workers: 3,
 	}
 	buf, err := json.Marshal(CanonicalSpecOf(spec))
 	if err != nil {

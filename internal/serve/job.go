@@ -49,11 +49,9 @@ type Job struct {
 	state   JobState // guarded by mu
 	errMsg  string   // guarded by mu
 	payload []byte   // guarded by mu
-	// kernel and shards record the effective execution choice reported by
-	// the batch runner — what actually ran, after auto-resolution and the
-	// two-level parallelism split — for the status API and /metrics.
+	// kernel records the executor the batch runner reports, for the
+	// status API and /metrics.
 	kernel string // guarded by mu
-	shards int    // guarded by mu
 	// cached records that the job was answered from the result cache at
 	// submit time (it never entered the queue). Written at submit under
 	// s.mu but read from handler goroutines, so it takes the job's own
@@ -79,21 +77,20 @@ func (j *Job) Snapshot() (JobState, string, []byte) {
 // Done returns the channel closed at terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// setExecution records the effective kernel and shard count; call before
-// complete so observers released by the done channel already see it.
-func (j *Job) setExecution(kernel string, shards int) {
+// setKernel records the kernel that ran; call before complete so
+// observers released by the done channel already see it.
+func (j *Job) setKernel(kernel string) {
 	j.mu.Lock()
 	j.kernel = kernel
-	j.shards = shards
 	j.mu.Unlock()
 }
 
-// execution returns the effective kernel name and shard count, empty/zero
-// until the batch runner has reported them.
-func (j *Job) execution() (string, int) {
+// executedKernel returns the name of the kernel that ran, empty until the
+// batch runner has reported it.
+func (j *Job) executedKernel() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.kernel, j.shards
+	return j.kernel
 }
 
 // markCached records a cache-hit birth; call before complete so any

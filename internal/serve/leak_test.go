@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -18,17 +19,19 @@ import (
 // elevated after the grace period fails the suite with full stacks, which
 // names the spawn site of whatever leaked.
 func TestMain(m *testing.M) {
-	before := runtime.NumGoroutine()
+	before, _ := suiteGoroutines()
 	code := m.Run()
 	if code == 0 {
 		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before {
+		for {
+			after, stacks := suiteGoroutines()
+			if after <= before {
+				break
+			}
 			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				n := runtime.Stack(buf, true)
 				fmt.Fprintf(os.Stderr,
 					"serve: goroutine leak: %d goroutines before the suite, %d after; stacks:\n%s\n",
-					before, runtime.NumGoroutine(), buf[:n])
+					before, after, stacks)
 				code = 1
 				break
 			}
@@ -36,4 +39,20 @@ func TestMain(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// suiteGoroutines counts the live goroutines and returns their stacks,
+// leaving out the os/signal receive loop: `go test -fuzz` starts it for
+// its own interrupt handling, and it lives as long as the process. No
+// code in this package installs a signal handler.
+func suiteGoroutines() (int, string) {
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	n := 0
+	for _, g := range strings.Split(stacks, "\n\n") {
+		if !strings.Contains(g, "os/signal.signal_recv") {
+			n++
+		}
+	}
+	return n, stacks
 }

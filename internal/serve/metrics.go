@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fabric"
-	"repro/internal/kernels"
 	"repro/internal/store"
 )
 
@@ -56,22 +55,14 @@ type metrics struct {
 }
 
 // kernelLabels is the fixed render order of the by-kernel job counter:
-// every registered kernel family, in registry order, plus "fabric" for
-// jobs fanned out across the peer fleet (no single family describes
-// those). Built once from the registry, so the series cannot drift from
-// it; a fixed slice (not a map) keeps the scrape deterministic and the
-// observe path lock-free.
-var kernelLabels = func() []string {
-	var labels []string
-	for _, e := range kernels.All() {
-		labels = append(labels, e.Name)
-	}
-	return append(labels, fabricKernelLabel)
-}()
+// the two served kernels (span for permutation jobs, sliced for 0-1
+// jobs), plus "fabric" for jobs fanned out across the peer fleet (no
+// single kernel describes those). A fixed slice (not a map) keeps the
+// scrape deterministic and the observe path lock-free.
+var kernelLabels = []string{"span", "sliced", fabricKernelLabel}
 
 // kernelCounters counts completed jobs by effective kernel; the extra
-// slot collects names outside kernelLabels (a registry drift guard, not
-// an expected path).
+// slot, rendered as "other", collects names outside kernelLabels.
 type kernelCounters struct {
 	counts []atomic.Int64
 }

@@ -268,7 +268,7 @@ func (s *Server) runJob(job *Job) {
 		job.fail(err.Error())
 		return
 	}
-	job.setExecution(kernelName, b.Shards)
+	job.setKernel(kernelName)
 	s.cache.put(job.Key, payload)
 	s.metrics.jobsOK.Add(1)
 	s.metrics.jobsByKernel.observe(kernelName)
@@ -279,7 +279,7 @@ func (s *Server) runJob(job *Job) {
 		"algorithm", job.spec.Algorithm.ShortName(),
 		"mesh", fmt.Sprintf("%dx%d", job.spec.Rows, job.spec.Cols),
 		"trials", job.spec.Trials, "kernel", kernelName,
-		"shards", b.Shards, "ns_per_trial", nsPerTrial)
+		"ns_per_trial", nsPerTrial)
 	job.complete(payload)
 
 	// Write-behind persistence: the waiter is already unblocked; the
@@ -571,16 +571,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// statusResponse is the body of GET /v1/jobs/{id}. Kernel and Shards
-// report the effective execution choice — what actually ran after
-// auto-resolution and the parallelism split — and stay empty until the
-// job has executed (cache-hit jobs never execute, so they report none).
+// statusResponse is the body of GET /v1/jobs/{id}. Kernel names what ran
+// (span, sliced, generic or fabric) and stays empty until the job has
+// executed (cache-hit jobs never execute, so they report none).
 type statusResponse struct {
 	ID     string `json:"id"`
 	Key    string `json:"key"`
 	Status string `json:"status"`
 	Kernel string `json:"kernel,omitempty"`
-	Shards int    `json:"shards,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
 
@@ -599,10 +597,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		cancel()
 	}
 	state, errMsg, _ := job.Snapshot()
-	kernel, shards := job.execution()
 	writeJSON(w, http.StatusOK, statusResponse{
 		ID: job.ID, Key: job.Key.String(), Status: state.String(),
-		Kernel: kernel, Shards: shards, Error: errMsg,
+		Kernel: job.executedKernel(), Error: errMsg,
 	})
 }
 

@@ -80,10 +80,11 @@ func metricValue(t *testing.T, baseURL, name string) float64 {
 
 // TestJobLifecycle drives the full asynchronous path — submit, poll until
 // done, fetch the result — and checks the payload against a direct
-// mcbatch run of the same Spec.
+// mcbatch run of the same Spec, and the status against the kernel that
+// serves permutation jobs.
 func TestJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := `{"algorithm":"snake-a","side":8,"trials":40,"seed":11,"kernel":"span-sharded","shards":2}`
+	body := `{"algorithm":"snake-a","side":8,"trials":40,"seed":11}`
 
 	resp, buf := postJSON(t, ts.URL+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -117,6 +118,9 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if st.Status != "done" {
 		t.Fatalf("job failed: %s", st.Error)
+	}
+	if st.Kernel != "span" {
+		t.Fatalf("status reports kernel %q, want span", st.Kernel)
 	}
 
 	resp, buf = getBody(t, ts.URL+"/v1/jobs/"+sub.ID+"/result")
@@ -469,92 +473,80 @@ func TestJobTimeoutCancellation(t *testing.T) {
 	}
 }
 
-// TestZeroOneKernelSharesCacheEntry pins the executor-hint contract for
-// the 0-1 kernel families: jobs that differ only in the requested kernel
-// map to one cache key and serve byte-identical payloads, because the
-// sliced and cellwise engines are lockstep-equivalent and the hash
-// excludes the hint.
-func TestZeroOneKernelSharesCacheEntry(t *testing.T) {
+// checkKernelSharesCacheEntry submits body twice through /v1/sort: the
+// first run executes on kernel (one more job under its by-kernel
+// series), and the second is a cache hit with a byte-identical payload
+// that executes nothing.
+func checkKernelSharesCacheEntry(t *testing.T, body, kernel string) {
+	t.Helper()
 	_, ts := newTestServer(t, Config{})
-	body := func(kernel string) string {
-		return fmt.Sprintf(`{"algorithm":"snake-b","side":8,"trials":70,"seed":9,"zeroone":true,"kernel":%q}`, kernel)
+	series := fmt.Sprintf("meshsortd_jobs_by_kernel_total{kernel=%q}", kernel)
+	before := metricValue(t, ts.URL, series)
+	resp, first := postJSON(t, ts.URL+"/v1/sort", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first sort: %d %s", resp.StatusCode, first)
 	}
+	if got := resp.Header.Get("X-Meshsort-Cache"); got != "miss" {
+		t.Fatalf("first cache header: %q, want miss", got)
+	}
+	if got := metricValue(t, ts.URL, series); got != before+1 {
+		t.Fatalf("%s: %v -> %v, want +1", series, before, got)
+	}
+	resp, again := postJSON(t, ts.URL+"/v1/sort", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmit: %d %s", resp.StatusCode, again)
+	}
+	if got := resp.Header.Get("X-Meshsort-Cache"); got != "hit" {
+		t.Fatalf("resubmit cache header: %q, want hit", got)
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatalf("cached payload differs:\n%s\nvs\n%s", again, first)
+	}
+	if got := metricValue(t, ts.URL, series); got != before+1 {
+		t.Fatalf("%s after the hit: %v, want %v", series, got, before+1)
+	}
+}
 
-	respSliced, bufSliced := postJSON(t, ts.URL+"/v1/sort", body("sliced"))
-	if respSliced.StatusCode != http.StatusOK {
-		t.Fatalf("sliced sort: %d %s", respSliced.StatusCode, bufSliced)
-	}
-	if got := respSliced.Header.Get("X-Meshsort-Cache"); got != "miss" {
-		t.Fatalf("first kernel cache header: %q, want miss", got)
-	}
-	// "span" serves the permutation class only, so on a 0-1 job the hint
-	// is treated as auto — same cache entry, same payload.
-	for _, kernel := range []string{"generic", "auto", "span", ""} {
-		resp, buf := postJSON(t, ts.URL+"/v1/sort", body(kernel))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("kernel %q sort: %d %s", kernel, resp.StatusCode, buf)
-		}
-		if got := resp.Header.Get("X-Meshsort-Cache"); got != "hit" {
-			t.Fatalf("kernel %q cache header: %q, want hit", kernel, got)
-		}
-		if !bytes.Equal(buf, bufSliced) {
-			t.Fatalf("kernel %q payload differs from sliced:\n%s\nvs\n%s", kernel, buf, bufSliced)
-		}
-	}
+// TestZeroOneKernelSharesCacheEntry pins that a 0-1 job runs on the
+// trial-sliced kernel and that its resubmission is served from the
+// cache. That no execution hint enters the key is mcbatch's hash tests'
+// to pin, for every Spec.Kernel value.
+func TestZeroOneKernelSharesCacheEntry(t *testing.T) {
+	checkKernelSharesCacheEntry(t, `{"algorithm":"snake-b","side":8,"trials":70,"seed":9,"zeroone":true}`, "sliced")
 }
 
 // TestPermutationKernelSharesCacheEntry is the permutation-class twin:
-// span, sharded span and generic are bit-identical on permutation
-// batches, so jobs differing only in the hint share one cache entry and
-// serve byte-identical payloads.
+// the job runs on the span kernel and its resubmission is a cache hit.
 func TestPermutationKernelSharesCacheEntry(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	body := func(kernel string) string {
-		return fmt.Sprintf(`{"algorithm":"snake-a","side":8,"trials":40,"seed":9,"kernel":%q}`, kernel)
-	}
-
-	respSpan, bufSpan := postJSON(t, ts.URL+"/v1/sort", body("span"))
-	if respSpan.StatusCode != http.StatusOK {
-		t.Fatalf("span sort: %d %s", respSpan.StatusCode, bufSpan)
-	}
-	if got := respSpan.Header.Get("X-Meshsort-Cache"); got != "miss" {
-		t.Fatalf("first kernel cache header: %q, want miss", got)
-	}
-	for _, kernel := range []string{"generic", "span-sharded", "auto", "sliced", ""} {
-		resp, buf := postJSON(t, ts.URL+"/v1/sort", body(kernel))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("kernel %q sort: %d %s", kernel, resp.StatusCode, buf)
-		}
-		if got := resp.Header.Get("X-Meshsort-Cache"); got != "hit" {
-			t.Fatalf("kernel %q cache header: %q, want hit", kernel, got)
-		}
-		if !bytes.Equal(buf, bufSpan) {
-			t.Fatalf("kernel %q payload differs from span:\n%s\nvs\n%s", kernel, buf, bufSpan)
-		}
-	}
+	checkKernelSharesCacheEntry(t, `{"algorithm":"snake-a","side":8,"trials":40,"seed":9}`, "span")
 }
 
-// TestRetiredKernelNamesRejected pins that the retired cell-packed and
-// threshold-sliced kernel names are unknown names like any other: every
-// job entry point answers 400 with a message listing the accepted names.
+// TestRetiredKernelNamesRejected pins the wire effect of retiring the
+// kernel and shards request fields: the daemon decodes job requests
+// strictly, so a request that still names a kernel — one that once ran,
+// one that left earlier, or the empty name — or sends a shard count is a
+// 400 naming the unknown field at every job entry point.
 func TestRetiredKernelNamesRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, kernel := range []string{"packed", "threshold"} {
+	for _, field := range []string{
+		`"kernel":"span"`, `"kernel":"span-sharded"`, `"kernel":"packed"`, `"kernel":""`,
+		`"shards":2`, `"shards":0`,
+	} {
 		for _, path := range []string{"/v1/jobs", "/v1/sort"} {
-			body := fmt.Sprintf(`{"algorithm":"snake-a","side":8,"trials":4,"kernel":%q}`, kernel)
+			body := fmt.Sprintf(`{"algorithm":"snake-a","side":8,"trials":4,%s}`, field)
 			resp, buf := postJSON(t, ts.URL+path, body)
 			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s kernel %q: got %d %s, want 400", path, kernel, resp.StatusCode, buf)
+				t.Fatalf("%s with %s: got %d %s, want 400", path, field, resp.StatusCode, buf)
 			}
-			if !strings.Contains(string(buf), "want auto, generic, span, span-sharded or sliced") {
-				t.Fatalf("%s kernel %q: message does not list the accepted names: %s", path, kernel, buf)
+			if !strings.Contains(string(buf), "unknown field") {
+				t.Fatalf("%s with %s: message does not name the unknown field: %s", path, field, buf)
 			}
 		}
 	}
 }
 
-// TestKernelLabelsFollowRegistry pins the by-kernel series: one per
-// registered kernel in registry order, then "fabric" and "other".
+// TestKernelLabelsFollowRegistry pins the by-kernel series: the two
+// served kernels, then "fabric" and "other".
 func TestKernelLabelsFollowRegistry(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	_, buf := getBody(t, ts.URL+"/metrics")
@@ -565,91 +557,9 @@ func TestKernelLabelsFollowRegistry(t *testing.T) {
 			got = append(got, rest[:strings.IndexByte(rest, '"')])
 		}
 	}
-	want := []string{"span-sharded", "span", "sliced", "generic", "fabric", "other"}
+	want := []string{"span", "sliced", "fabric", "other"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("by-kernel labels %v, want %v", got, want)
-	}
-}
-
-// TestPinnedShardsClampedInJobStatus pins that a job's status reports
-// the shard count that ran: a pinned count above the row count is
-// clamped to it, as the engine clamps it.
-func TestPinnedShardsClampedInJobStatus(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, buf := postJSON(t, ts.URL+"/v1/jobs",
-		`{"algorithm":"snake-a","rows":2,"cols":64,"trials":3,"seed":1,"kernel":"span-sharded","shards":8}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, buf)
-	}
-	var sub submitResponse
-	if err := json.Unmarshal(buf, &sub); err != nil {
-		t.Fatal(err)
-	}
-	resp, buf = getBody(t, ts.URL+"/v1/jobs/"+sub.ID+"?wait=1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status: %d %s", resp.StatusCode, buf)
-	}
-	var st statusResponse
-	if err := json.Unmarshal(buf, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Status != "done" || st.Kernel != "span-sharded" || st.Shards != 2 {
-		t.Fatalf("status %q reports kernel=%q shards=%d, want done span-sharded/2", st.Status, st.Kernel, st.Shards)
-	}
-}
-
-// TestShardedJobExecutionReporting pins the shards hint's surface: the
-// job status reports the effective kernel and shard count after
-// execution, /metrics counts the job under its kernel label, the shard
-// count never enters the cache key (a job differing only in shards is a
-// cache hit with a byte-identical payload), and a negative shards value
-// fails at submit time.
-func TestShardedJobExecutionReporting(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	body := func(shards int) string {
-		return fmt.Sprintf(`{"algorithm":"snake-a","side":10,"trials":20,"seed":5,"kernel":"span-sharded","shards":%d}`, shards)
-	}
-
-	countBefore := metricValue(t, ts.URL, `meshsortd_jobs_by_kernel_total{kernel="span-sharded"}`)
-	resp, buf := postJSON(t, ts.URL+"/v1/jobs", body(2))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, buf)
-	}
-	var sub submitResponse
-	if err := json.Unmarshal(buf, &sub); err != nil {
-		t.Fatal(err)
-	}
-	resp, buf = getBody(t, ts.URL+"/v1/jobs/"+sub.ID+"?wait=1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status: %d %s", resp.StatusCode, buf)
-	}
-	var st statusResponse
-	if err := json.Unmarshal(buf, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Status != "done" {
-		t.Fatalf("job state %q (%s)", st.Status, st.Error)
-	}
-	if st.Kernel != "span-sharded" || st.Shards != 2 {
-		t.Fatalf("status reports kernel=%q shards=%d, want span-sharded/2", st.Kernel, st.Shards)
-	}
-	if countAfter := metricValue(t, ts.URL, `meshsortd_jobs_by_kernel_total{kernel="span-sharded"}`); countAfter != countBefore+1 {
-		t.Fatalf("jobs_by_kernel{span-sharded}: %v -> %v, want +1", countBefore, countAfter)
-	}
-
-	// Same spec with a different shard count: pure execution hint, so the
-	// result cache must already hold the payload.
-	resp, buf = postJSON(t, ts.URL+"/v1/sort", body(3))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded resubmit: %d %s", resp.StatusCode, buf)
-	}
-	if got := resp.Header.Get("X-Meshsort-Cache"); got != "hit" {
-		t.Fatalf("shards=3 cache header: %q, want hit (shards must not enter the key)", got)
-	}
-
-	resp, buf = postJSON(t, ts.URL+"/v1/jobs", body(-1))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative shards: %d %s, want 400", resp.StatusCode, buf)
 	}
 }
 

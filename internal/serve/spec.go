@@ -9,15 +9,12 @@ import (
 
 // JobRequest is the wire form of one trial-batch job, the body of
 // POST /v1/jobs and POST /v1/sort. Either side (square mesh) or rows+cols
-// must be given. The zero seed means the harness default (1), kernel ""
-// means auto, and zeroone runs the batch on the paper's half-0/half-1
-// workload instead of random permutations, through the trial-sliced 0-1
-// kernel (64 trials in lockstep per word) unless kernel pins another
-// family — the choice cannot change results or the cache key. Shards
-// pins the intra-trial row-shard count of the sharded span executor
-// (0 = auto under the daemon's parallelism budget); like kernel and the
-// worker count it is a pure execution hint, and the effective choice is
-// reported in the job status and /metrics.
+// must be given. The zero seed means the harness default (1), and zeroone
+// runs the batch on the paper's half-0/half-1 workload instead of random
+// permutations. The daemon picks the executor from the workload class
+// (span for permutations, the trial-sliced 0-1 kernel for zeroone), so a
+// request carries no execution hints; the kernel that ran is reported in
+// the job status and /metrics.
 type JobRequest struct {
 	Algorithm string `json:"algorithm"`
 	Side      int    `json:"side,omitempty"`
@@ -28,13 +25,10 @@ type JobRequest struct {
 	// trial_offset+trials) of a larger experiment — the shard form a
 	// fabric coordinator derives, also accepted here so any sub-range is
 	// addressable as a plain job. The result payload's spec echo
-	// (report.SpecJSON) carries it under the same tag; kernel and shards
-	// are execution hints and are never echoed.
+	// (report.SpecJSON) carries it under the same tag.
 	TrialOffset int    `json:"trial_offset,omitempty"`
 	Seed        uint64 `json:"seed,omitempty"`
 	MaxSteps    int    `json:"max_steps,omitempty"`
-	Kernel      string `json:"kernel,omitempty"`
-	Shards      int    `json:"shards,omitempty"`
 	ZeroOne     bool   `json:"zeroone,omitempty"`
 }
 
@@ -71,19 +65,12 @@ func (l Limits) withDefaults() Limits {
 // Spec. The returned Spec carries no functional fields (Stream, Gen are
 // nil) and no execution hints (Workers, Kernel are chosen by the daemon at
 // run time), so it is exactly the content-addressable form that
-// mcbatch.Spec.Hash keys the result cache with — except Kernel and
-// Shards, which are validated here so a bad value fails at submit time,
-// and recorded in the Spec for the executor even though the hash ignores
-// them.
+// mcbatch.Spec.Hash keys the result cache with.
 func (r JobRequest) ToSpec(lim Limits) (mcbatch.Spec, error) {
 	lim = lim.withDefaults()
 	alg, err := core.ByName(r.Algorithm)
 	if err != nil {
 		return mcbatch.Spec{}, fmt.Errorf("algorithm: %w", err)
-	}
-	kernel, err := core.KernelByName(r.Kernel)
-	if err != nil {
-		return mcbatch.Spec{}, fmt.Errorf("kernel: %w", err)
 	}
 	rows, cols := r.Rows, r.Cols
 	switch {
@@ -113,9 +100,6 @@ func (r JobRequest) ToSpec(lim Limits) (mcbatch.Spec, error) {
 	if r.MaxSteps < 0 {
 		return mcbatch.Spec{}, fmt.Errorf("max_steps must be >= 0 (got %d)", r.MaxSteps)
 	}
-	if r.Shards < 0 {
-		return mcbatch.Spec{}, fmt.Errorf("shards must be >= 0 (got %d)", r.Shards)
-	}
 	spec := mcbatch.Spec{
 		Algorithm:   alg,
 		Rows:        rows,
@@ -125,8 +109,6 @@ func (r JobRequest) ToSpec(lim Limits) (mcbatch.Spec, error) {
 		Seed:        r.Seed,
 		MaxSteps:    r.MaxSteps,
 		ZeroOne:     r.ZeroOne,
-		Kernel:      kernel,
-		Shards:      r.Shards,
 	}
 	if err := spec.CheckTrialRange(); err != nil {
 		return mcbatch.Spec{}, err
