@@ -25,8 +25,9 @@ import (
 //     pair whose two cells straddle a shard boundary is owned by the
 //     shard holding its lo cell (for the schedules' column pairs, the
 //     top cell) and simply writes one cell into its neighbor's rows;
-//     disjointness makes that safe without coordination, and the sweep
-//     never stores to a lane outside its own row.
+//     disjointness makes that safe without coordination, and a sweep
+//     stores only to the pairs of the band rows it was handed, all of
+//     them one shard's.
 //   - Skipping is exact-conservative: a row (or row piece) is skipped,
 //     and a pair trimmed, only when the settled windows prove it a
 //     no-op, so executing a different partition of the same pair set
@@ -94,29 +95,35 @@ type shardedPlan struct {
 
 // shardSpanPlan splits plan into `shards` contiguous row blocks of
 // near-equal height (the first rows%shards blocks get the extra row). A
-// pair is owned by the shard holding its lo cell's row. A band row's lo
-// cells are consecutive shadow cells of one half, where rows occupy
-// consecutive blocks of cells, so each shard owns one contiguous k-range
-// of every band row: a row is cut only where a shard boundary falls
-// inside it, and splitting preserves the pair set exactly. Each shard's
-// pieces are then regrouped into bands by groupBands, the serial plan's
-// grouping.
+// pair is owned by the shard holding its lo cell's row. Each half of the
+// shadow stores rows as consecutive blocks of cells in slot order — all
+// rows in mesh order, the even rows and then the odd rows in parity slot
+// order — so a shard's rows with one half and one row parity (or all of
+// its rows, in mesh order) are one contiguous range of cells, and the
+// ranges of all shards in turn tile that part of the half. A band row's
+// lo cells are consecutive cells of one half, so each shard owns one
+// contiguous k-range of it within each such part: a row is cut only
+// where a part or a shard boundary falls inside it, and splitting
+// preserves the pair set exactly. Each shard's pieces are then regrouped
+// into bands by groupBands, the serial plan's grouping.
 func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
-	rows := plan.rows
-	even, half := (plan.cols+1)/2, plan.half()
-	// evenAt[s] and oddAt[s] are the first shadow cells of shard s's rows
-	// in the even and odd half: shard s owns lo cells in
-	// [evenAt[s], evenAt[s+1]) and [oddAt[s], oddAt[s+1]).
-	evenAt := make([]int32, shards+1)
-	oddAt := make([]int32, shards+1)
-	base, rem := rows/shards, rows%shards
-	r := 0
-	for s := 0; s <= shards; s++ {
-		evenAt[s] = int32(r * even)
-		oddAt[s] = int32(half + r*(plan.cols/2))
-		r += base
-		if s < rem {
-			r++
+	// firstRow[s] is shard s's first row; firstRow[shards] = rows.
+	firstRow := make([]int, shards+1)
+	base, rem := plan.rows/shards, plan.rows%shards
+	for s := 1; s <= shards; s++ {
+		firstRow[s] = firstRow[s-1] + base
+		if s <= rem {
+			firstRow[s]++
+		}
+	}
+	first, step := []int{0}, 1 // the row parts: every row
+	if plan.slots {
+		first, step = []int{0, 1}, 2 // the even rows, then the odd rows
+	}
+	var bounds [][]int32
+	for c := 0; c < 2; c++ {
+		for _, f := range first {
+			bounds = append(bounds, partBounds(plan, firstRow, c, f, step))
 		}
 	}
 	sp := &shardedPlan{
@@ -135,11 +142,9 @@ func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
 			b := &plan.phases[pi].bands[i]
 			for j := int32(0); j < b.rows; j++ {
 				row := b.row(j)
-				bound := evenAt
-				if int(row.lo) >= half {
-					bound = oddAt
+				for _, bound := range bounds {
+					splitSpan(&row, bound, pieces)
 				}
-				splitSpan(&row, bound, pieces)
 			}
 		}
 		parts := make([][]band, shards)
@@ -151,9 +156,31 @@ func shardSpanPlan(plan *spanPlan, shards int) *shardedPlan {
 	return sp
 }
 
+// partBounds returns where each shard's rows start in one part of the
+// shadow: the cells of column parity c of rows f, f+step, f+2·step, …,
+// which the layout stores as consecutive blocks in row order. Entry s
+// is the first cell of the part's first row at or after firstRow[s], or
+// the part's end when there is none, so shard s owns the part's cells in
+// [bound[s], bound[s+1]) and bound[0] and bound[shards] are the part's
+// ends. f < rows holds because a split has at least one row per shard
+// and at least two shards.
+func partBounds(plan *spanPlan, firstRow []int, c, f, step int) []int32 {
+	last := f + (plan.rows-1-f)/step*step
+	end := plan.cell(last, c) + int32((plan.cols+1-c)/2)
+	bound := make([]int32, len(firstRow))
+	for s, r := range firstRow {
+		bound[s] = end
+		if g := f + (max(r-f, 0)+step-1)/step*step; g < plan.rows {
+			bound[s] = plan.cell(g, c)
+		}
+	}
+	return bound
+}
+
 // splitSpan appends sp's pieces to the shards owning them. Shard s owns
 // the pairs k with bound[s] <= lo + k < bound[s+1]; a piece keeps sp's
-// pitch and starts its ranks where its first pair's are.
+// pitch and starts its ranks where its first pair's are. Pairs outside
+// [bound[0], bound[len(pieces)]) are left to the other parts' bounds.
 func splitSpan(sp *span, bound []int32, pieces [][]span) {
 	for s := range pieces {
 		kA := max(bound[s]-sp.lo, 0)

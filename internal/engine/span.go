@@ -46,24 +46,35 @@ const (
 
 // The span kernel runs a permutation trial on a shadow of the grid laid
 // out so that every step of every schedule is a handful of unit-stride
-// runs. The shadow holds all even-column cells in row-major order, then
-// all odd-column cells: with E = ⌈C/2⌉ and O = ⌊C/2⌋, cell (r, c) lives
-// at r·E + c/2 when c is even and at R·E + r·O + c/2 when c is odd. In
-// that layout:
+// runs. The shadow holds all even-column cells, then all odd-column
+// cells; within each half a mesh row is a block of E = ⌈C/2⌉ or
+// O = ⌊C/2⌋ consecutive cells, and the blocks come in slot order: cell
+// (r, c) lives at slot(r)·E + c/2 when c is even and at
+// R·E + slot(r)·O + c/2 when c is odd. In that layout:
 //
 //   - a row pair (r, c)-(r, c+1) joins an even and an odd cell whose
 //     indices both advance by one as c advances by two, whatever the
 //     parity of c and whichever cell takes the minimum;
-//   - the row-major wrap pair (r, C−1)-(r+1, 0) continues row r's
-//     odd-start pairs, so the fused wrap phase is one run of N/2−1 pairs;
-//   - column pairs (r, c)-(r+1, c) of one column parity sit E or O apart
-//     inside one half and advance by one as c advances by two, so the
-//     uniform and the alternating column steps are both unit-stride.
+//   - column pairs (r, c)-(r+1, c) of one column parity lie in one half
+//     and advance by one as c advances by two, so the uniform and the
+//     alternating column steps are both unit-stride.
+//
+// Slots come in one of two orders, fixed per schedule by buildSpanPlan.
+// Mesh order (slot(r) = r) keeps a row's block next to the next row's,
+// so a run that goes on from one row into the next stays one span: the
+// row-major schedules' full row steps are one run of N/2 pairs, and the
+// wrap pair (r, C−1)-(r+1, 0) continues row r's odd-start pairs into one
+// run of N/2−1. Parity slot order stores the even rows first, then the
+// odd rows (slot(r) = r/2, or ⌈R/2⌉ + r/2 for odd r), so the rows of one
+// parity are consecutive blocks: a column step, pairing each even row
+// with an odd one, and a row step whose rows use every cell of their
+// blocks become bands whose rows sit back to back in both roles, which
+// sweep runs as one run (see sweep).
 //
 // A span is therefore just pair k = (lo+k, hi+k), k < pairs, with lo the
 // min destination. The spans of one phase repeat at a fixed stride — one
 // per mesh row or row pair and column parity — so the plan folds them
-// into bands, and one sweep serves every band (see sweep).
+// into bands, and one sweep serves every band.
 
 // span is one run of a phase, the unit the plan is built from: pair k
 // compares shadow cells lo+k (receives the minimum) and hi+k, and its
@@ -143,6 +154,7 @@ type spanPlan struct {
 	name       string
 	n          int
 	rows, cols int
+	slots      bool    // parity slot order, else mesh order (see the layout above)
 	wide       bool    // 32-bit shadow cells (n > 32768), else 16-bit
 	curLen     int32   // pair cursors: two per band row across all phases
 	winLen     int32   // row-window cursors: two per band across all phases
@@ -156,22 +168,45 @@ func (p *spanPlan) half() int { return p.rows * ((p.cols + 1) / 2) }
 // index maps flat cell f to its shadow cell.
 func (p *spanPlan) index(f int) int32 { return p.cell(f/p.cols, f%p.cols) }
 
+// slot returns the position of row r's block within each half.
+func (p *spanPlan) slot(r int) int {
+	switch {
+	case !p.slots:
+		return r
+	case r&1 == 0:
+		return r >> 1
+	}
+	return (p.rows+1)>>1 + r>>1
+}
+
+// rowAt returns the row whose block sits at slot s, inverting slot.
+func (p *spanPlan) rowAt(s int) int {
+	switch even := (p.rows + 1) >> 1; {
+	case !p.slots:
+		return s
+	case s < even:
+		return 2 * s
+	default:
+		return 2*(s-even) + 1
+	}
+}
+
 // cell maps cell (r, c) to its shadow cell.
 func (p *spanPlan) cell(r, c int) int32 {
 	if c&1 == 0 {
-		return int32(r*((p.cols+1)/2) + c>>1)
+		return int32(p.slot(r)*((p.cols+1)/2) + c>>1)
 	}
-	return int32(p.half() + r*(p.cols/2) + c>>1)
+	return int32(p.half() + p.slot(r)*(p.cols/2) + c>>1)
 }
 
 // flat maps shadow cell i back to its flat cell, inverting index.
 func (p *spanPlan) flat(i int32) int {
 	if h := p.half(); int(i) >= h {
 		j, odd := int(i)-h, p.cols/2
-		return j/odd*p.cols + 2*(j%odd) + 1
+		return p.rowAt(j/odd)*p.cols + 2*(j%odd) + 1
 	}
 	even := (p.cols + 1) / 2
-	return int(i)/even*p.cols + 2*(int(i)%even)
+	return p.rowAt(int(i)/even)*p.cols + 2*(int(i)%even)
 }
 
 // comparators expands phase pi back into flat comparators, band by band
@@ -213,16 +248,18 @@ func SpanSteps(s sched.Schedule) ([][]sched.Comparator, bool) {
 }
 
 // transfer copies the grid into the shadow as v − min (in) or the
-// shadow back into the grid (!in), row by row so no cell costs a
-// division.
+// shadow back into the grid (!in), row by row from the row's two block
+// starts, so no cell costs a division or a slot lookup.
 func (p *spanPlan) transfer(sh unsafe.Pointer, gc []int, minVal int, in bool) {
 	for r := 0; r < p.rows; r++ {
 		row := gc[r*p.cols : (r+1)*p.cols]
+		base := [2]int32{p.cell(r, 0), p.cell(r, 1)} // cell (r, c) is base[c&1] + c/2
 		for c := range row {
+			i := base[c&1] + int32(c>>1)
 			if in {
-				p.set(sh, p.cell(r, c), uint32(row[c]-minVal))
+				p.set(sh, i, uint32(row[c]-minVal))
 			} else {
-				row[c] = minVal + int(p.get(sh, p.cell(r, c)))
+				row[c] = minVal + int(p.get(sh, i))
 			}
 		}
 	}
@@ -302,19 +339,53 @@ func spanPlanFor(s sched.Schedule, g *grid.Grid) *spanPlan {
 }
 
 // buildSpanPlan compiles s for the span kernel, returning nil when a
-// step's comparators overlap or one is non-monotone. Each phase is built
-// in O(pairs): every pair is placed at its lo cell, a pair whose
-// predecessor cell does not hold the pair (lo−1, hi−1) starts a span,
-// and the span extends while both ends advance by one. Spans never cross
-// from the even half into the odd half, so each span's lo cells lie in
-// one half and the sharded executor can cut it by rows. groupBands then
-// folds each phase's spans into bands. A step whose comparators overlap
-// or send a minimum to the higher rank gets no plan.
+// step's comparators overlap or one is non-monotone. It picks the slot
+// order once, from the schedule: parity slots store rows r and r+1 apart
+// and so cut every span that runs on from one row into the next. Mesh
+// order is kept when such a span exists — the row-major schedules' full
+// row steps, and the wrap phase of rm-rf and rm-cf — and parity slots
+// are used otherwise, which is every schedule whose target order turns
+// at each row end (the snakes and shearsort).
 func buildSpanPlan(s sched.Schedule, g *grid.Grid) *spanPlan {
+	phases := sched.PhasesOf(s)
+	plan := compileSpanPlan(s, g, phases, false)
+	if plan == nil || plan.runsOn() {
+		return plan
+	}
+	return compileSpanPlan(s, g, phases, true)
+}
+
+// runsOn reports whether a span of p has cells in two rows, in either
+// role.
+func (p *spanPlan) runsOn() bool {
+	for _, ph := range p.phases {
+		for i := range ph.bands {
+			b := &ph.bands[i]
+			for j := int32(0); j < b.rows; j++ {
+				sp := b.row(j)
+				last := sp.pairs - 1
+				if p.flat(sp.lo)/p.cols != p.flat(sp.lo+last)/p.cols || p.flat(sp.hi)/p.cols != p.flat(sp.hi+last)/p.cols {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// compileSpanPlan compiles phases, the steps of s, in the given slot
+// order. Each phase is built in O(pairs): every pair is placed at its lo
+// cell, a pair whose predecessor cell does not hold the pair (lo−1, hi−1)
+// starts a span, and the span extends while both ends advance by one.
+// Spans never cross from the even half into the odd half, so each span's
+// lo cells lie in one half and the sharded executor can cut it by rows.
+// groupBands then folds each phase's spans into bands. A step whose
+// comparators overlap or send a minimum to the higher rank gets no plan.
+func compileSpanPlan(s sched.Schedule, g *grid.Grid, phases [][]sched.Comparator, slots bool) *spanPlan {
 	rows, cols := s.Dims()
 	n := rows * cols
 	order := s.Order()
-	plan := &spanPlan{name: s.Name(), n: n, rows: rows, cols: cols, wide: n > 1<<15, rankPos: make([]int32, n)}
+	plan := &spanPlan{name: s.Name(), n: n, rows: rows, cols: cols, slots: slots, wide: n > 1<<15, rankPos: make([]int32, n)}
 	rank := make([]int32, n) // rank[i] = target rank of shadow cell i
 	for m := 0; m < n; m++ {
 		i := plan.index(g.RankFlat(order, m))
@@ -322,7 +393,6 @@ func buildSpanPlan(s sched.Schedule, g *grid.Grid) *spanPlan {
 		rank[i] = int32(m)
 	}
 	half := int32(plan.half())
-	phases := sched.PhasesOf(s)
 	plan.phases = make([]spanPhase, len(phases))
 	next := make([]int32, n) // next[lo] = hi+1 of the current phase's pair at lo, 0 if none
 	used := make([]int32, n) // used[i] = 1 + index of the last phase touching cell i
@@ -508,13 +578,19 @@ func lanes[T uint16 | uint32]() (size, top uintptr, high uint64) {
 // unaligned native loads; the lanes are the cells in native order, so
 // the arithmetic is the same on either byte order.
 //
-// Rows shorter than one word run scalar. Longer rows go through
-// sweepRow, one call per row: with the row loop in the same function the
+// A band whose rows sit back to back in both roles (sLo = sHi = pairs,
+// as parity slots make every column step) is one run of rows·pairs pairs:
+// its rows' pairs are disjoint and contiguous, so no store leaves them.
+// Runs shorter than one word run scalar. Longer runs go through
+// sweepRow, one call per run: with the row loop in the same function the
 // word loop spilled its temporaries to the stack.
 //
 //meshlint:hot
 func sweep[T uint16 | uint32](sh unsafe.Pointer, lo, hi, pairs, rows, sLo, sHi int32) int {
 	size, top, high := lanes[T]()
+	if sLo == pairs && sHi == pairs {
+		pairs, rows = pairs*rows, 1
+	}
 	bytes := uintptr(pairs) * size
 	if bytes < 8 {
 		swaps := 0
@@ -542,28 +618,35 @@ func sweep[T uint16 | uint32](sh unsafe.Pointer, lo, hi, pairs, rows, sLo, sHi i
 	return int(acc * (high >> top) >> (63 - top))
 }
 
-// sweepRow compare-exchanges one row — the cells in the first bytes ≥ 8
-// bytes at a against those at b — word by word, and returns the swap
-// marks summed per lane (see sweep). When bytes is not a whole number of
-// words, the last word is swept first, overlapping the word before it,
-// and then the words from the start. Compare-exchange is idempotent and
-// an ordered pair never swaps, so the overlapped pairs are neither
-// changed nor counted twice, and no store leaves the row, which the
-// sharded executor needs because shards sweep concurrently. Sweeping the
-// overlapped word first keeps the word before it from loading bytes just
-// stored at another alignment.
+// sweepRow compare-exchanges one run — the cells in the first bytes ≥ 8
+// bytes at a against those at b — and returns the swap marks summed per
+// lane (see sweep). When bytes is not a whole number of words, the last
+// word is swept first, overlapping the word before it; then, when the
+// whole words are odd in number, the first one; then the rest two words
+// per iteration, into two accumulators so that neither sum waits on the
+// other. Compare-exchange is idempotent and an ordered pair never swaps,
+// so the overlapped pairs are neither changed nor counted twice, and no
+// store leaves the run, which the sharded executor needs because shards
+// sweep concurrently. Sweeping the overlapped word first keeps the word
+// before it from loading bytes just stored at another alignment.
 //
 //meshlint:hot
 func sweepRow[T uint16 | uint32](a, b unsafe.Pointer, bytes uintptr) uint64 {
 	_, top, high := lanes[T]()
-	var acc uint64
+	var acc0, acc1 uint64
 	if bytes&7 != 0 {
-		acc = exchange(a, b, bytes-8, high, top)
+		acc0 = exchange(a, b, bytes-8, high, top)
 	}
-	for off := uintptr(0); off+8 <= bytes; off += 8 {
-		acc += exchange(a, b, off, high, top)
+	off := uintptr(0)
+	if bytes&8 != 0 {
+		acc1 = exchange(a, b, 0, high, top)
+		off = 8
 	}
-	return acc
+	for ; off+16 <= bytes; off += 16 {
+		acc0 += exchange(a, b, off, high, top)
+		acc1 += exchange(a, b, off+8, high, top)
+	}
+	return acc0 + acc1
 }
 
 // exchange compare-exchanges the words at byte offset off of a and b

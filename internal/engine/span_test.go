@@ -70,10 +70,13 @@ func TestSpanPlanShapesRowMajor(t *testing.T) {
 	}
 }
 
-// TestSpanPlanShapesSnakeB pins SN-B at 6×6: the alternating-parity
-// column step — strided in row-major memory — is two bands (even and odd
-// columns) of three-pair rows; the row step is two bands, the forward
-// rows walking up the ranks and the reverse rows down them.
+// TestSpanPlanShapesSnakeB pins SN-B at 6×6 under parity slots (rows
+// 0, 2, 4 in slots 0–2 of each half, rows 1, 3, 5 in slots 3–5): the
+// alternating-parity column step — strided in row-major memory — is two
+// bands (even and odd columns) of three-pair rows that sit back to back
+// in both roles; the row step is two bands, the forward rows walking up
+// the ranks, back to back, and the reverse rows down them, one cell of
+// each block apart.
 func TestSpanPlanShapesSnakeB(t *testing.T) {
 	s := sched.NewSnakeB(6, 6)
 	plan := buildSpanPlan(s, grid.New(6, 6))
@@ -81,13 +84,70 @@ func TestSpanPlanShapesSnakeB(t *testing.T) {
 		t.Fatal("snake-b has no span plan")
 	}
 	checkBands(t, "snake-b 6x6 row step", plan.phases[0].bands, []band{
-		{span: span{lo: 4, hi: 21, pairs: 2, lr0: 9, dl: -2, hr0: 10, dh: -2}, rows: 3, sLo: 6, sHi: 6, rl: 12, rh: 12},
-		{span: span{lo: 0, hi: 18, pairs: 3, lr0: 0, dl: 2, hr0: 1, dh: 2}, rows: 3, sLo: 6, sHi: 6, rl: 12, rh: 12},
+		{span: span{lo: 10, hi: 27, pairs: 2, lr0: 9, dl: -2, hr0: 10, dh: -2}, rows: 3, sLo: 3, sHi: 3, rl: 12, rh: 12},
+		{span: span{lo: 0, hi: 18, pairs: 3, lr0: 0, dl: 2, hr0: 1, dh: 2}, rows: 3, sLo: 3, sHi: 3, rl: 12, rh: 12},
 	})
 	checkBands(t, "snake-b 6x6 column step", plan.phases[1].bands, []band{
-		{span: span{lo: 21, hi: 24, pairs: 3, lr0: 10, dl: -2, hr0: 13, dh: 2}, rows: 2, sLo: 6, sHi: 6, rl: 12, rh: 12},
-		{span: span{lo: 0, hi: 3, pairs: 3, lr0: 0, dl: 2, hr0: 11, dh: -2}, rows: 3, sLo: 6, sHi: 6, rl: 12, rh: 12},
+		{span: span{lo: 27, hi: 21, pairs: 3, lr0: 10, dl: -2, hr0: 13, dh: 2}, rows: 2, sLo: 3, sHi: 3, rl: 12, rh: 12},
+		{span: span{lo: 0, hi: 9, pairs: 3, lr0: 0, dl: 2, hr0: 11, dh: -2}, rows: 3, sLo: 3, sHi: 3, rl: 12, rh: 12},
 	})
+}
+
+// TestSpanPlanSlotOrder pins buildSpanPlan's layout rule. The row-major
+// schedules keep mesh order: their full row steps, and the wrap phase of
+// rm-rf and rm-cf, are spans that run on from one row into the next,
+// which parity slots would cut at every row. That holds for
+// rm-rf-nowrap too, whose odd row step is one span of N/2 pairs. The
+// snakes and shearsort turn at every row end, so they get parity slots,
+// and at sides 16, 32 and 48 every band of their column steps and every
+// band of rows that start at an even column (the paper's odd row step,
+// which uses every cell of an even-width row) sits back to back in both
+// roles, which sweep runs as one run.
+func TestSpanPlanSlotOrder(t *testing.T) {
+	for _, side := range []int{16, 32, 48} {
+		for _, name := range append(sched.Names(), "rm-rf-nowrap") {
+			s, err := sched.ByName(name, side, side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := buildSpanPlan(s, grid.New(side, side))
+			label := fmt.Sprintf("%s %dx%d", name, side, side)
+			if want := !strings.HasPrefix(name, "rm-"); plan.slots != want {
+				t.Fatalf("%s: parity slots %v, want %v", label, plan.slots, want)
+			}
+			even, odd := (side+1)/2, side/2 // cells per row in each half
+			for r := 0; r < side; r++ {
+				slot := r
+				if plan.slots { // even rows first, then odd rows
+					slot = r/2 + r%2*((side+1)/2)
+				}
+				for c := 0; c < side; c++ {
+					want := int32(slot*even + c/2)
+					if c%2 == 1 {
+						want = int32(side*even + slot*odd + c/2)
+					}
+					if got := plan.cell(r, c); got != want || plan.flat(got) != r*side+c {
+						t.Fatalf("%s: cell (%d, %d) at %d (back to %d), want %d", label, r, c, got, plan.flat(got), want)
+					}
+				}
+			}
+			if !plan.slots {
+				continue
+			}
+			for pi, ph := range plan.phases {
+				for _, b := range ph.bands {
+					lo, hi := plan.flat(b.lo), plan.flat(b.hi)
+					column := lo%side == hi%side
+					if !column && min(lo, hi)%2 != 0 {
+						continue // an odd-start row: one cell of each block is idle
+					}
+					if b.rows < 2 || b.sLo != b.pairs || b.sHi != b.pairs {
+						t.Fatalf("%s phase %d: band %+v (column %v) is not back to back", label, pi, b, column)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSpanPlanBandsPerPhase pins how far the grouping folds every
@@ -174,23 +234,29 @@ func TestSpanPlanEligibility(t *testing.T) {
 }
 
 // TestSweep checks the SWAR sweep against a scalar compare-exchange at
-// both cell widths: one to three rows at unequal strides, every row
-// length from 0 to 9 pairs (which covers rows shorter than a word, whole
-// words, and the overlapped last word), lanes at 0 and at the largest
-// storable value, equal values and equal partners (which never swap),
-// and every cell outside the rows' pairs untouched.
+// both cell widths: one to four rows, every row length from 0 to 33 pairs
+// (rows shorter than a word, an odd and an even number of whole words,
+// and the overlapped last word), lanes at 0 and at the largest storable
+// value, equal values and equal partners (which never swap), and every
+// cell outside the rows' pairs untouched. Rows are padded apart at
+// unequal strides, back to back in both roles (sLo = sHi = pairs, which
+// sweep runs as one run), or back to back in one role only, which must
+// not be run as one.
 func TestSweep(t *testing.T) {
-	const cells = 96
+	const cells = 400
 	src := rng.New(0x5EEB)
 	for _, wide := range []bool{false, true} {
 		p := &spanPlan{n: cells, wide: wide}
 		top := uint32(1)<<(8*p.cellSize()-1) - 1
-		for pairs := int32(0); pairs <= 9; pairs++ {
-			for _, geom := range [][5]int32{ // lo, hi, rows, sLo, sHi
-				{0, 24, 1, 0, 0}, {1, 14, 1, 0, 0}, {3, 25, 1, 0, 0}, {30, 5, 1, 0, 0}, {11, 20, 1, 0, 0},
-				{0, 48, 2, 10, 11}, {1, 50, 3, 13, 10}, {47, 3, 3, 10, 12}, {2, 13, 3, 23, 22},
+		for pairs := int32(0); pairs <= 33; pairs++ {
+			for _, geom := range [][5]int32{ // lo, hi, rows, and each role's gap between rows
+				{0, 200, 1, 0, 0}, {1, 213, 1, 0, 0}, {3, 251, 1, 0, 0}, {230, 5, 1, 0, 0}, {11, 220, 1, 0, 0},
+				{0, 200, 2, 1, 2}, {1, 202, 3, 4, 1}, {247, 3, 3, 1, 3}, {2, 213, 3, 14, 13},
+				{0, 200, 2, 0, 0}, {1, 203, 3, 0, 0}, {5, 190, 4, 0, 0}, {250, 2, 4, 0, 0},
+				{1, 201, 3, 0, 1}, {2, 210, 2, 3, 0},
 			} {
-				lo, hi, rows, sLo, sHi := geom[0], geom[1], geom[2], geom[3], geom[4]
+				lo, hi, rows := geom[0], geom[1], geom[2]
+				sLo, sHi := pairs+geom[3], pairs+geom[4]
 				for pattern := 0; pattern < 4; pattern++ {
 					vals := make([]uint32, cells)
 					for i := range vals {
@@ -215,9 +281,14 @@ func TestSweep(t *testing.T) {
 						p.set(sh, int32(i), v)
 					}
 					want := 0
+					used := make([]bool, cells)
 					for j := int32(0); j < rows; j++ {
 						for k := int32(0); k < pairs; k++ {
 							a, b := lo+j*sLo+k, hi+j*sHi+k
+							if used[a] || used[b] {
+								t.Fatalf("geometry %v at %d pairs uses a cell twice", geom, pairs)
+							}
+							used[a], used[b] = true, true
 							if vals[a] > vals[b] {
 								vals[a], vals[b] = vals[b], vals[a]
 								want++
@@ -300,10 +371,13 @@ func TestCellwiseAllocBudget(t *testing.T) {
 }
 
 // FuzzSpanPlan feeds buildSpanPlan random disjoint adjacent-pair
-// phases. A monotone schedule must get a lossless plan whose serial and
-// sharded runs match the generic executor exactly on a permutation —
-// Result, ErrStepLimit, and final grid — under a step cap (a random
-// schedule need not sort); a schedule with a flipped pair must get none.
+// phases, with wrap pairs (a row's last cell against the next row's
+// first) when mode has bit 2, so both slot orders and the rule choosing
+// between them are driven. A monotone schedule must get a lossless plan
+// whose serial and sharded runs match the generic executor exactly on a
+// permutation — Result, ErrStepLimit, and final grid — under a step cap
+// (a random schedule need not sort); a schedule with a flipped pair must
+// get none.
 //
 // Run with: go test -fuzz=FuzzSpanPlan ./internal/engine/
 func FuzzSpanPlan(f *testing.F) {
@@ -313,10 +387,11 @@ func FuzzSpanPlan(f *testing.F) {
 	f.Add(uint8(9), uint8(1), uint8(1), []byte{2})
 	f.Add(uint8(6), uint8(6), uint8(3), []byte{0x81, 0x02, 0x85, 0x11})
 	f.Add(uint8(11), uint8(10), uint8(2), []byte{7, 1, 2, 200, 13, 8, 5, 31, 2, 9})
+	f.Add(uint8(6), uint8(6), uint8(5), []byte{1, 4, 7, 1, 0, 2}) // 7×7 snake order, a wrap pair under parity slots
 	f.Fuzz(func(t *testing.T, rows, cols, mode uint8, data []byte) {
 		r, c := 1+int(rows)%12, 1+int(cols)%12
 		order := grid.Order(mode & 1)
-		phases, flipped := schedtest.RandomPhases(r, c, order, data, mode&2 != 0)
+		phases, flipped := schedtest.RandomPhases(r, c, order, data, mode&2 != 0, mode&4 != 0)
 		s := schedtest.NewPhases(r, c, order, phases)
 		plan := buildSpanPlan(s, grid.New(r, c))
 		if flipped {

@@ -169,7 +169,8 @@ func TestLockstepMixedWeights(t *testing.T) {
 
 // FuzzSlicedPlan runs the trial-sliced kernel on random monotone
 // adjacent-pair schedules on meshes up to 24×24, so runs cross blocks and
-// chunks. Every one of 1 to 64 random 0-1 lanes must match the reference
+// chunks, with wrap pairs (a row's last cell against the next row's
+// first) when mode has bit 1. Every one of 1 to 64 random 0-1 lanes must match the reference
 // run of its input alone — Result, ErrStepLimit and final grid — under a
 // step cap, since a random schedule need not sort.
 //
@@ -179,10 +180,11 @@ func FuzzSlicedPlan(f *testing.F) {
 	f.Add(uint8(23), uint8(23), uint8(1), uint8(14), uint8(255), []byte{2, 2, 1, 0, 2, 1, 1})
 	f.Add(uint8(0), uint8(8), uint8(0), uint8(0), uint8(2), []byte{1})
 	f.Add(uint8(17), uint8(6), uint8(1), uint8(15), uint8(90), []byte{7, 1, 2, 200, 13, 8, 5, 31, 2, 9})
+	f.Add(uint8(6), uint8(6), uint8(3), uint8(20), uint8(60), []byte{1, 4, 7, 1, 0, 2}) // 7×7 snake order with a wrap pair
 	f.Fuzz(func(t *testing.T, rows, cols, mode, lanes, maxSteps uint8, data []byte) {
 		r, c := 1+int(rows)%24, 1+int(cols)%24
 		order := grid.Order(mode & 1)
-		phases, _ := schedtest.RandomPhases(r, c, order, data, false)
+		phases, _ := schedtest.RandomPhases(r, c, order, data, false, mode&2 != 0)
 		s := schedtest.NewPhases(r, c, order, phases)
 		src := rng.New(uint64(len(data))<<8 | uint64(mode))
 		cases := make([]Case, 1+int(lanes)%64)

@@ -39,9 +39,8 @@ import (
 	"strings"
 )
 
-// ManifestVersion pins the manifest schema, like the tuner table's
-// version field: a reader refuses a manifest written by a different
-// schema instead of mis-diffing it.
+// ManifestVersion pins the manifest schema: a reader refuses a manifest
+// written by a different schema instead of mis-diffing it.
 const ManifestVersion = 1
 
 // Watched are the module-relative kernel files whose diagnostics are

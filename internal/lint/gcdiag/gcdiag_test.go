@@ -29,8 +29,8 @@ func TestManifestVersion(t *testing.T) {
 }
 
 // TestGoldenRoundTrip loads the committed manifest, pushes it through a
-// marshal/unmarshal cycle, and requires bit-equal structures — the same
-// discipline the tuner table's golden file gets.
+// marshal/unmarshal cycle, and requires bit-equal structures, so the
+// golden file holds nothing the schema would drop or reorder.
 func TestGoldenRoundTrip(t *testing.T) {
 	golden, err := Load(filepath.Join(moduleRoot(t), filepath.FromSlash(GoldenPath)))
 	if err != nil {

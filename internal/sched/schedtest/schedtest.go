@@ -33,10 +33,12 @@ func (p *Phases) Step(t int) []sched.Comparator { return p.phases[(t-1)%len(p.ph
 
 // RandomPhases builds one to four random disjoint adjacent-pair phases on
 // an R×C mesh from a fuzzer's bytes: each cell, in flat order, is left
-// alone or paired with a free right or lower neighbour. Pairs send the
-// minimum to the lower target rank unless flip is set and the byte says
-// otherwise; the result reports whether any pair was flipped.
-func RandomPhases(rows, cols int, order grid.Order, data []byte, flip bool) ([][]sched.Comparator, bool) {
+// alone or paired with a free right or lower neighbour. With wrap set, a
+// row's last cell may instead pair with the next row's first cell, like
+// the row-major schedules' wrap-around wires. Pairs send the minimum to
+// the lower target rank unless flip is set and the byte says otherwise;
+// the result reports whether any pair was flipped.
+func RandomPhases(rows, cols int, order grid.Order, data []byte, flip, wrap bool) ([][]sched.Comparator, bool) {
 	next := 0
 	byteAt := func() byte {
 		if len(data) == 0 {
@@ -61,7 +63,7 @@ func RandomPhases(rows, cols int, order grid.Order, data []byte, flip bool) ([][
 			partner := -1
 			switch b % 3 {
 			case 1:
-				if f%cols+1 < cols {
+				if f%cols+1 < cols || wrap && f+1 < n {
 					partner = f + 1
 				}
 			case 2:

@@ -166,7 +166,7 @@ func TestCompileSlicedShape(t *testing.T) {
 	}
 	for i, data := range [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}, {2, 2, 1, 0, 2, 1, 1}, {7, 1, 2, 200, 13, 8, 5, 31, 2, 9}} {
 		rows, cols, order := 24-i, 20+i, grid.Order(i%2)
-		phases, _ := schedtest.RandomPhases(rows, cols, order, data, false)
+		phases, _ := schedtest.RandomPhases(rows, cols, order, data, false, false)
 		scheds = append(scheds, schedtest.NewPhases(rows, cols, order, phases))
 	}
 	for _, s := range scheds {
@@ -258,7 +258,7 @@ func TestSlicedPotential(t *testing.T) {
 	}
 	for i, data := range [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}, {2, 2, 1, 0, 2, 1, 1}, {7, 1, 2, 200, 13, 8, 5, 31, 2, 9}} {
 		order := grid.Order(i % 2)
-		phases, _ := schedtest.RandomPhases(rows, cols, order, data, false)
+		phases, _ := schedtest.RandomPhases(rows, cols, order, data, false, false)
 		ss := CompileSliced(schedtest.NewPhases(rows, cols, order, phases))
 		if ss.omega != 0 && ss.omega != 2 {
 			t.Errorf("random schedule %d: ω = %d, want 0 or 2", i, ss.omega)
