@@ -59,8 +59,8 @@ type ResultPayload struct {
 // floating-point aggregates are deterministic under any worker count.
 // Execution hints on spec (Workers, Kernel, Shards) never reach the
 // bytes: the embedded spec is the canonical resolution. The returned
-// slice has no spare capacity, because the job registry and the result
-// cache hold thousands of payloads.
+// slice has no spare capacity, because the result cache (512 entries)
+// and the job registry of /v1/jobs results (4,096) retain payloads.
 func BuildPayload(spec mcbatch.Spec, key mcbatch.Key, b *mcbatch.Batch) ([]byte, error) {
 	var swaps, comparisons stats.Welford
 	for _, t := range b.Trials {

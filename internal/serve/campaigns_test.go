@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -49,6 +50,11 @@ func TestStoreReadThroughAcrossRestart(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Meshsort-Cache"); got != "miss" {
 		t.Fatalf("fresh store served a cache hit (%q)", got)
+	}
+	// The store write is write-behind, after the reply; the drain waits
+	// for it, since a job leaves the in-flight count only after its Put.
+	if err := sA.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if v := metricValue(t, tsA.URL, "meshsortd_store_puts_total"); v != 1 {
 		t.Fatalf("store_puts_total = %v, want 1", v)

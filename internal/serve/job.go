@@ -33,12 +33,14 @@ func (s JobState) String() string {
 	}
 }
 
-// Job is one submitted trial batch tracked by the daemon's registry.
+// Job is one submitted trial batch. The daemon's registry tracks it once
+// its ID has been handed to a client (see Config.MaxJobs).
 type Job struct {
-	// ID is the registry handle ("j-000001"). Two submissions of the same
-	// Spec can share one Job (singleflight) or get distinct Jobs backed by
-	// the same cached payload; Key is the content identity, ID the
-	// submission handle.
+	// ID is the submission handle ("j-000001"): the registry key of a
+	// pollable job, and the name the job done and job failed log lines
+	// give every executed one. Two submissions of the same Spec can share
+	// one Job (singleflight) or get distinct Jobs backed by the same
+	// cached payload; Key is the content identity.
 	ID string
 	// Key is the canonical content address of the Spec.
 	Key mcbatch.Key

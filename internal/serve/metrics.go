@@ -109,10 +109,12 @@ func (h *nsHistogram) observe(ns int64) {
 }
 
 // promSample carries the point-in-time values writeProm renders as
-// gauges: they live in the queue channel, the cache, and the store, not
-// in the counter set, so the caller samples them at scrape time.
+// gauges: they live in the queue channel, the registry, the cache, and
+// the store, not in the counter set, so the caller samples them at
+// scrape time.
 type promSample struct {
 	queueDepth, queueCap int
+	registered           int // job IDs in the registry
 	cacheLen, cacheCap   int
 	// storeStats is nil when the daemon runs without a durable store; the
 	// store series are then omitted entirely (absent, not zero), so a
@@ -169,6 +171,9 @@ func (m *metrics) writeProm(w io.Writer, s promSample) {
 	gauge("meshsortd_queue_depth", "Jobs waiting in the queue.", int64(s.queueDepth))
 	gauge("meshsortd_queue_capacity", "Capacity of the job queue.", int64(s.queueCap))
 	gauge("meshsortd_jobs_running", "Jobs currently executing.", m.running.Load())
+	gauge("meshsortd_jobs_registered",
+		"Job IDs held in the registry, pollable at /v1/jobs/{id}; /v1/sort jobs never enter it.",
+		int64(s.registered))
 	gauge("meshsortd_cache_entries", "Entries in the in-memory result cache.", int64(s.cacheLen))
 	gauge("meshsortd_cache_capacity", "Capacity of the in-memory result cache.", int64(s.cacheCap))
 

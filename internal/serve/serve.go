@@ -69,8 +69,12 @@ type Config struct {
 	JobTimeout time.Duration
 	// CacheEntries bounds the result cache. Default 512.
 	CacheEntries int
-	// MaxJobs bounds the job registry; the oldest finished jobs are
-	// evicted past it. Default 4096.
+	// MaxJobs bounds the job registry, which holds only the jobs whose
+	// ID a client was given (POST /v1/jobs submissions, and the sort jobs
+	// such a submission deduplicated onto); the oldest finished ones are
+	// evicted past it. /v1/sort traffic never enters the registry, so it
+	// neither counts against the bound nor evicts a result a poller has
+	// yet to collect. Default 4096.
 	MaxJobs int
 	// LongPollMax caps one ?wait=1 status poll. Default 30s.
 	LongPollMax time.Duration
@@ -160,10 +164,12 @@ type Server struct {
 	queue chan *Job
 
 	mu       sync.Mutex
-	draining bool            // guarded by mu
-	nextID   int64           // guarded by mu
-	jobs     map[string]*Job // guarded by mu
-	// order is the submission order, for registry eviction. guarded by mu
+	draining bool  // guarded by mu
+	nextID   int64 // guarded by mu
+	// jobs is the registry: the jobs whose ID a client was given, so
+	// they stay pollable until evicted. guarded by mu
+	jobs map[string]*Job
+	// order is the registration order, for registry eviction. guarded by mu
 	order []string
 	// byKey indexes in-flight jobs for singleflight dedup. guarded by mu
 	byKey map[mcbatch.Key]*Job
@@ -311,7 +317,9 @@ type submitOutcome struct {
 }
 
 // submit validates req, consults the cache and the singleflight index,
-// and either enqueues a new job or returns the existing/cached one.
+// and either enqueues a new job or returns the existing/cached one. It
+// registers nothing: handleSubmit, the one caller that hands the job's
+// ID to its client, does.
 func (s *Server) submit(req JobRequest) (submitOutcome, *apiError) {
 	spec, err := req.ToSpec(s.cfg.Limits)
 	if err != nil {
@@ -331,7 +339,7 @@ func (s *Server) submit(req JobRequest) (submitOutcome, *apiError) {
 
 	if payload, ok := s.cache.get(key); ok {
 		s.metrics.cacheHitsMemory.Add(1)
-		job := s.registerLocked(key, spec)
+		job := s.newJobLocked(key, spec)
 		job.markCached()
 		job.complete(payload)
 		return submitOutcome{job: job, cached: true}, nil
@@ -351,19 +359,18 @@ func (s *Server) submit(req JobRequest) (submitOutcome, *apiError) {
 		} else if ok {
 			s.metrics.cacheHitsStore.Add(1)
 			s.cache.put(key, payload)
-			job := s.registerLocked(key, spec)
+			job := s.newJobLocked(key, spec)
 			job.markCached()
 			job.complete(payload)
 			return submitOutcome{job: job, cached: true}, nil
 		}
 	}
 
-	job := s.registerLocked(key, spec)
+	job := s.newJobLocked(key, spec)
 	select {
 	case s.queue <- job:
 	default:
 		s.metrics.jobsRejected.Add(1)
-		s.unregisterLocked(job.ID)
 		return submitOutcome{}, &apiError{http.StatusTooManyRequests,
 			fmt.Sprintf("job queue full (%d queued)", cap(s.queue))}
 	}
@@ -373,21 +380,19 @@ func (s *Server) submit(req JobRequest) (submitOutcome, *apiError) {
 	return submitOutcome{job: job}, nil
 }
 
-// registerLocked creates a job in the registry; callers hold s.mu.
-func (s *Server) registerLocked(key mcbatch.Key, spec mcbatch.Spec) *Job {
+// newJobLocked creates a job under the next ID, which the job done and
+// job failed log lines name whether or not it is ever registered;
+// callers hold s.mu.
+func (s *Server) newJobLocked(key mcbatch.Key, spec mcbatch.Spec) *Job {
 	s.nextID++
-	job := newJob(fmt.Sprintf("j-%06d", s.nextID), key, spec)
+	return newJob(fmt.Sprintf("j-%06d", s.nextID), key, spec)
+}
+
+// registerLocked makes job pollable by its ID; callers hold s.mu.
+func (s *Server) registerLocked(job *Job) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.evictLocked()
-	return job
-}
-
-func (s *Server) unregisterLocked(id string) {
-	delete(s.jobs, id)
-	if n := len(s.order); n > 0 && s.order[n-1] == id {
-		s.order = s.order[:n-1]
-	}
 }
 
 // evictLocked trims the oldest finished jobs past the registry bound.
@@ -560,6 +565,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apiErr.status, apiErr.msg)
 		return
 	}
+	// The reply hands out the job's ID, so the job enters the registry
+	// unless a dedup found it there already (a dedup onto a /v1/sort job
+	// registers that job now). The client cannot poll before the reply,
+	// so registering after submit loses nothing.
+	s.mu.Lock()
+	if _, ok := s.jobs[out.job.ID]; !ok {
+		s.registerLocked(out.job)
+	}
+	s.mu.Unlock()
 	state, _, _ := out.job.Snapshot()
 	setOutcomeHeaders(w, out)
 	writeJSON(w, http.StatusAccepted, submitResponse{
@@ -627,7 +641,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSort is the synchronous convenience: submit, wait, serve the
-// payload in one round trip.
+// payload in one round trip. The reply carries no job ID, so the job
+// stays out of the registry.
 func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeRequest(w, r)
 	if !ok {
@@ -688,6 +703,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		queueDepth: len(s.queue), queueCap: cap(s.queue),
 		cacheLen: s.cache.len(), cacheCap: s.cfg.CacheEntries,
 	}
+	s.mu.Lock()
+	sample.registered = len(s.jobs)
+	s.mu.Unlock()
 	if s.cfg.Store != nil {
 		stats := s.cfg.Store.Stats()
 		sample.storeStats = &stats

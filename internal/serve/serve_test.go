@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -453,6 +454,155 @@ func TestRegistryEviction(t *testing.T) {
 	}
 	if resp, _ := getBody(t, ts.URL+"/v1/jobs/"+ids[5]); resp.StatusCode != http.StatusOK {
 		t.Fatalf("newest job should survive, got %d", resp.StatusCode)
+	}
+}
+
+// TestSortTrafficKeepsAsyncResults: /v1/sort replies carry no job ID, so
+// sort misses and hits stay out of the registry, and more of them than
+// MaxJobs do not evict a finished /v1/jobs result before its client
+// collects it.
+func TestSortTrafficKeepsAsyncResults(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxJobs: 3})
+	resp, buf := postJSON(t, ts.URL+"/v1/jobs", `{"algorithm":"snake-a","side":4,"trials":2,"seed":100}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, buf)
+	}
+	var sub submitResponse
+	if err := json.Unmarshal(buf, &sub); err != nil {
+		t.Fatal(err)
+	}
+	if resp, buf := getBody(t, ts.URL+"/v1/jobs/"+sub.ID+"?wait=1"); !strings.Contains(string(buf), `"done"`) {
+		t.Fatalf("job %s did not finish: %d %s", sub.ID, resp.StatusCode, buf)
+	}
+	resp, want := getBody(t, ts.URL+"/v1/jobs/"+sub.ID+"/result")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: %d %s", resp.StatusCode, want)
+	}
+
+	for seed := 1; seed <= 4; seed++ {
+		body := fmt.Sprintf(`{"algorithm":"snake-b","side":4,"trials":2,"seed":%d}`, seed)
+		for _, cache := range []string{"miss", "hit"} {
+			resp, buf := postJSON(t, ts.URL+"/v1/sort", body)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Meshsort-Cache") != cache {
+				t.Fatalf("sort seed %d: %d cache %q, want 200 cache %q: %s",
+					seed, resp.StatusCode, resp.Header.Get("X-Meshsort-Cache"), cache, buf)
+			}
+		}
+	}
+
+	resp, got := getBody(t, ts.URL+"/v1/jobs/"+sub.ID+"/result")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result after sort traffic: %d %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result changed under sort traffic:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestSortJobsLeaveNoRegistryEntry: a /v1/sort miss, a memory hit and,
+// after a restart on the same store, a store hit all leave the registry
+// empty.
+func TestSortJobsLeaveNoRegistryEntry(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"algorithm":"snake-c","side":4,"trials":3,"seed":2}`
+	sortAs := func(baseURL, cache string) {
+		t.Helper()
+		resp, buf := postJSON(t, baseURL+"/v1/sort", body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Meshsort-Cache") != cache {
+			t.Fatalf("sort: %d cache %q, want 200 cache %q: %s",
+				resp.StatusCode, resp.Header.Get("X-Meshsort-Cache"), cache, buf)
+		}
+		if v := metricValue(t, baseURL, "meshsortd_jobs_registered"); v != 0 {
+			t.Fatalf("jobs_registered = %v after a %s, want 0", v, cache)
+		}
+	}
+
+	stA := openTestStore(t, dir)
+	sA, tsA := storedServer(stA, Config{})
+	sortAs(tsA.URL, "miss")
+	sortAs(tsA.URL, "hit")
+	tsA.Close()
+	sA.Close()
+	if err := stA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stB := openTestStore(t, dir)
+	defer stB.Close()
+	sB, tsB := storedServer(stB, Config{})
+	defer func() { tsB.Close(); sB.Close() }()
+	sortAs(tsB.URL, "hit")
+	if v := metricValue(t, tsB.URL, `meshsortd_cache_hits_total{layer="store"}`); v != 1 {
+		t.Fatalf(`cache_hits_total{layer="store"} = %v, want 1`, v)
+	}
+}
+
+// TestAsyncDedupOntoSortJob: a /v1/jobs submission that dedups onto an
+// in-flight /v1/sort job registers that job once, so the ID it hands out
+// polls to done and serves the sort's payload.
+func TestAsyncDedupOntoSortJob(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	_, ts := newTestServer(t, Config{Concurrency: 1, QueueDepth: 4, testGate: gate})
+	body := `{"algorithm":"rm-rf","side":6,"trials":9,"seed":4}`
+
+	type reply struct {
+		status int
+		buf    []byte
+		err    error
+	}
+	sorted := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sort", "application/json", strings.NewReader(body))
+		if err != nil {
+			sorted <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		buf, err := io.ReadAll(resp.Body)
+		sorted <- reply{resp.StatusCode, buf, err}
+	}()
+	// The sort job is in flight, held by the gate, once its miss counts.
+	deadline := time.Now().Add(10 * time.Second)
+	for metricValue(t, ts.URL, "meshsortd_cache_misses_total") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sort never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var subs [2]submitResponse
+	for i := range subs {
+		resp, buf := postJSON(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, buf)
+		}
+		if err := json.Unmarshal(buf, &subs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !subs[i].Deduped || subs[i].ID == "" {
+			t.Fatalf("submit %d not deduped onto the sort job: %s", i, buf)
+		}
+	}
+	if subs[0].ID != subs[1].ID {
+		t.Fatalf("dedups got different ids: %s vs %s", subs[0].ID, subs[1].ID)
+	}
+	if v := metricValue(t, ts.URL, "meshsortd_jobs_registered"); v != 1 {
+		t.Fatalf("jobs_registered = %v, want 1", v)
+	}
+
+	release()
+	r := <-sorted
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("sort: %d %v %s", r.status, r.err, r.buf)
+	}
+	if resp, buf := getBody(t, ts.URL+"/v1/jobs/"+subs[0].ID+"?wait=1"); !strings.Contains(string(buf), `"done"`) {
+		t.Fatalf("job %s did not finish: %d %s", subs[0].ID, resp.StatusCode, buf)
+	}
+	resp, got := getBody(t, ts.URL+"/v1/jobs/"+subs[0].ID+"/result")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, r.buf) {
+		t.Fatalf("result %d differs from the sort reply:\n%s\nvs\n%s", resp.StatusCode, got, r.buf)
 	}
 }
 

@@ -3,14 +3,17 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/mcbatch"
 )
 
 // writeSeedLog builds a store with n records and returns the raw log
 // bytes plus the offset where the final record begins.
-func writeSeedLog(t *testing.T, n int) (raw []byte, lastRecOff int64) {
+func writeSeedLog(t testing.TB, n int) (raw []byte, lastRecOff int64) {
 	t.Helper()
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -113,4 +116,88 @@ func TestRecoveryInsaneLengthPrefix(t *testing.T) {
 	if st := s.Stats(); st.Entries != 2 {
 		t.Fatalf("insane length prefix: recovered %d entries, want 2", st.Entries)
 	}
+}
+
+// FuzzStoreOpen writes arbitrary bytes as the record log and opens them.
+// Open must not panic; it refuses, with ErrBadHeader, exactly the
+// non-empty logs that lack the header. A log it accepts is one it can
+// serve: every indexed key reads back, the logged size is the file's,
+// and a close and reopen recovers nothing more and serves the same keys
+// and payloads.
+func FuzzStoreOpen(f *testing.F) {
+	raw, lastRecOff := writeSeedLog(f, 3)
+	badMagic := append([]byte(nil), raw...)
+	badMagic[0] ^= 0xff
+	insane := append([]byte(nil), raw...)
+	binary.BigEndian.PutUint32(insane[lastRecOff:], uint32(maxPayload+1))
+	for _, seed := range [][]byte{raw, raw[:len(raw)-5], badMagic, {}, insane} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, logName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenOptions(dir, Options{NoSync: true})
+		if len(data) > 0 && !bytes.HasPrefix(data, logMagic[:]) {
+			if !errors.Is(err, ErrBadHeader) {
+				t.Fatalf("Open of a log without our header: %v, want ErrBadHeader", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Open of a log with our header: %v", err)
+		}
+		want := storedPayloads(t, s)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.LogBytes != fi.Size() {
+			t.Fatalf("Stats().LogBytes = %d, file holds %d", st.LogBytes, fi.Size())
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := OpenOptions(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("reopen of a recovered log: %v", err)
+		}
+		defer r.Close()
+		if st := r.Stats(); st.RecoveredBytes != 0 {
+			t.Fatalf("reopen recovered %d more bytes", st.RecoveredBytes)
+		}
+		got := storedPayloads(t, r)
+		if len(got) != len(want) {
+			t.Fatalf("reopen serves %d keys, first open %d", len(got), len(want))
+		}
+		for k, p := range want {
+			if !bytes.Equal(got[k], p) {
+				t.Fatalf("key %s: reopen serves %q, first open %q", k, got[k], p)
+			}
+		}
+	})
+}
+
+// storedPayloads reads every indexed key of s through Get, failing t
+// when one does not read back.
+func storedPayloads(t *testing.T, s *Store) map[mcbatch.Key][]byte {
+	t.Helper()
+	s.mu.RLock()
+	keys := make([]mcbatch.Key, 0, len(s.idx))
+	for k := range s.idx {
+		keys = append(keys, k)
+	}
+	s.mu.RUnlock()
+	out := make(map[mcbatch.Key][]byte, len(keys))
+	for _, k := range keys {
+		p, ok, err := s.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("indexed key %s: Get ok=%v err=%v", k, ok, err)
+		}
+		out[k] = p
+	}
+	return out
 }

@@ -22,7 +22,7 @@ func testPayload(i int) []byte {
 	return []byte(fmt.Sprintf("{\"cell\":%d,\"body\":%q}\n", i, bytes.Repeat([]byte{'x'}, i%17)))
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *Store {
+func mustOpen(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	s, err := OpenOptions(dir, opts)
 	if err != nil {
