@@ -149,6 +149,22 @@ func exhaust(t *testing.T, alg string, rows, cols, shardEvery int) int64 {
 // those numbers through sortnet.ExactWorstCaseSteps, one grid at a time
 // on the engine's general loop, so the two routes share no executor.
 func TestExhaustive4x4ZeroOne(t *testing.T) {
+	exhaustive4x4ZeroOne(t, 64)
+}
+
+// TestExhaustive4x4ZeroOneOneLane runs the same 2^16 inputs one lane per
+// batch. In a 64-lane batch the early swaps of a lane's neighbours mark
+// the change-tracking blocks it needs, which can hide a skip rule that
+// drops a run it should have executed; alone, a lane depends on its own
+// marks only.
+func TestExhaustive4x4ZeroOneOneLane(t *testing.T) {
+	exhaustive4x4ZeroOne(t, 1)
+}
+
+// exhaustive4x4ZeroOne checks every 4×4 0-1 input against RefRun, in
+// batches of lanes consecutive inputs, and each schedule's worst case
+// against E16.
+func exhaustive4x4ZeroOne(t *testing.T, lanes int) {
 	const rows, cols, n = 4, 4, 16
 	for _, tc := range []struct {
 		alg   string
@@ -175,9 +191,9 @@ func TestExhaustive4x4ZeroOne(t *testing.T) {
 				}
 			}
 			worst := 0
-			for lo := 0; lo < 1<<n; lo += 64 {
+			for lo := 0; lo < 1<<n; lo += lanes {
 				ts.Reset()
-				for mask := lo; mask < lo+64; mask++ {
+				for mask := lo; mask < lo+lanes; mask++ {
 					fill(in, mask)
 					ts.AddGrid(in)
 				}
@@ -194,8 +210,8 @@ func TestExhaustive4x4ZeroOne(t *testing.T) {
 					}
 					ts.ExtractInto(k, out)
 					if msg := diffErrors(wantErr, laneErr); msg != "" || results[k] != want || !out.Equal(ref) {
-						t.Fatalf("%s 4x4 input %#x: %+v/%v, reference %+v/%v (grids equal: %v)",
-							tc.alg, lo+k, results[k], laneErr, want, wantErr, out.Equal(ref))
+						t.Fatalf("%s 4x4 input %#x, %d lanes per batch: %+v/%v, reference %+v/%v (grids equal: %v)",
+							tc.alg, lo+k, lanes, results[k], laneErr, want, wantErr, out.Equal(ref))
 					}
 					worst = max(worst, want.Steps)
 				}

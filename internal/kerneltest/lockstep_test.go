@@ -123,6 +123,47 @@ func TestLockstepBlockStraddle(t *testing.T) {
 	}
 }
 
+// TestLockstepLastSwapAtCap: a lane whose last swap falls exactly on the
+// step cap reports Sorted with Steps equal to the cap, and a cap one step
+// lower is its step limit, both equal to RefRun's, alone and among 15
+// other lanes: the cap's last step counts toward a lane's steps, and the
+// lane is not reported sorted before its last swap has run.
+func TestLockstepLastSwapAtCap(t *testing.T) {
+	const rows, cols = 6, 8
+	src := rng.New(0xCA9)
+	for _, alg := range sched.Names() {
+		s, err := sched.Cached(alg, rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := zeroone.CachedSliced(alg, rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			cases := make([]Case, 16)
+			for j := range cases {
+				cases[j] = Case{Label: fmt.Sprintf("zeroone-%d-%d", i, j), Input: workload.HalfZeroOne(src, rows, cols)}
+			}
+			last := references(s, 0, cases[:1])[0].res.Steps
+			if last < 2 {
+				t.Fatalf("%s: input %d sorts in %d steps; the test needs a later last swap", alg, i, last)
+			}
+			for _, maxSteps := range []int{last, last - 1} {
+				base := references(s, maxSteps, cases)
+				if sorted := base[0].err == nil; sorted != (maxSteps == last) || (sorted && base[0].res.Steps != maxSteps) {
+					t.Fatalf("%s input %d cap %d: reference %+v/%v, want a last swap at step %d",
+						alg, i, maxSteps, base[0].res, base[0].err, last)
+				}
+				for _, lanes := range []int{1, 16} {
+					prefix := fmt.Sprintf("%s %dx%d cap=%d lanes=%d", alg, rows, cols, maxSteps, lanes)
+					compareLockstep(t, prefix, ss, maxSteps, cases[:lanes], base[:lanes])
+				}
+			}
+		}
+	}
+}
+
 // TestLockstepMixedWeights runs a schedule whose pairs take two nonzero
 // weights under P(r, c) = r + c: snake-style row phases, whose odd rows
 // run right to left (weight 2), row-major wrap pairs (weight C − 1 = 9)

@@ -396,16 +396,20 @@ func (s *Server) registerLocked(job *Job) {
 }
 
 // evictLocked trims the oldest finished jobs past the registry bound.
-// Live jobs block further eviction (they must stay pollable), so the
-// registry can transiently exceed MaxJobs by the number of live jobs.
+// Live jobs are passed over and keep their place (they must stay
+// pollable), so the registry can transiently exceed MaxJobs by the
+// number of live jobs.
 func (s *Server) evictLocked() {
-	for len(s.jobs) > s.cfg.MaxJobs && len(s.order) > 0 {
-		id := s.order[0]
+	for i := 0; len(s.jobs) > s.cfg.MaxJobs && i < len(s.order); {
+		id := s.order[i]
 		if j, ok := s.jobs[id]; ok && !j.terminal() {
-			return
+			i++
+			continue
 		}
-		s.order = s.order[1:]
 		delete(s.jobs, id)
+		// Drop order[i]: shift the i live jobs ahead of it up by one.
+		copy(s.order[1:i+1], s.order[:i])
+		s.order = s.order[1:]
 	}
 }
 

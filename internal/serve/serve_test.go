@@ -457,6 +457,56 @@ func TestRegistryEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionPassesOverLiveJob: a live job at the head of the registry
+// does not shield the finished jobs behind it. With MaxJobs 2, job A runs
+// to done, job B is held running by the gate, and 20 /v1/jobs cache hits
+// on A follow; eviction passes over B and drops the oldest finished jobs,
+// so the registry stays within MaxJobs plus its one live job, and both B
+// and the newest hit stay pollable.
+func TestEvictionPassesOverLiveJob(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	_, ts := newTestServer(t, Config{MaxJobs: 2, Concurrency: 1, QueueDepth: 4, testGate: gate})
+	submit := func(body string) submitResponse {
+		t.Helper()
+		resp, buf := postJSON(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, buf)
+		}
+		var sub submitResponse
+		if err := json.Unmarshal(buf, &sub); err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	bodyA := `{"algorithm":"snake-a","side":4,"trials":2,"seed":1}`
+	a := submit(bodyA)
+	gate <- struct{}{} // let A, and only A, through the gate
+	if resp, buf := getBody(t, ts.URL+"/v1/jobs/"+a.ID+"?wait=1"); !strings.Contains(string(buf), `"done"`) {
+		t.Fatalf("job A %s did not finish: %d %s", a.ID, resp.StatusCode, buf)
+	}
+	b := submit(`{"algorithm":"snake-b","side":4,"trials":2,"seed":1}`)
+
+	var newest submitResponse
+	for i := 0; i < 20; i++ {
+		newest = submit(bodyA)
+		if v := metricValue(t, ts.URL, "meshsortd_jobs_registered"); v > 3 {
+			t.Fatalf("after %d hits on A: jobs_registered = %v, want at most MaxJobs + 1 live = 3", i+1, v)
+		}
+	}
+	if resp, buf := getBody(t, ts.URL+"/v1/jobs/"+b.ID); resp.StatusCode != http.StatusOK || strings.Contains(string(buf), `"done"`) {
+		t.Fatalf("live job B %s: %d %s, want it registered and not done", b.ID, resp.StatusCode, buf)
+	}
+	if resp, buf := getBody(t, ts.URL+"/v1/jobs/"+newest.ID+"/result"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("newest hit %s: %d %s", newest.ID, resp.StatusCode, buf)
+	}
+	release()
+	if resp, buf := getBody(t, ts.URL+"/v1/jobs/"+b.ID+"?wait=1"); !strings.Contains(string(buf), `"done"`) {
+		t.Fatalf("job B %s did not finish: %d %s", b.ID, resp.StatusCode, buf)
+	}
+}
+
 // TestSortTrafficKeepsAsyncResults: /v1/sort replies carry no job ID, so
 // sort misses and hits stay out of the registry, and more of them than
 // MaxJobs do not evict a finished /v1/jobs result before its client

@@ -212,6 +212,7 @@ func (s *Store) recoverLocked() error {
 
 	pos := int64(len(logMagic))
 	var hdr [recordHeaderSize]byte
+	var payload []byte // one buffer for every record's CRC check, grown to the largest
 	for pos < logSize {
 		// A record that does not fit completely, or whose checksum fails,
 		// marks the valid prefix's end: truncate there. With fsync-per-Put
@@ -227,7 +228,10 @@ func (s *Store) recoverLocked() error {
 		if plen > maxPayload || logSize-pos-recordHeaderSize < plen {
 			break
 		}
-		payload := make([]byte, plen)
+		if int64(cap(payload)) < plen {
+			payload = make([]byte, plen)
+		}
+		payload = payload[:plen]
 		if _, err := s.f.ReadAt(payload, pos+recordHeaderSize); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}

@@ -37,7 +37,7 @@ import (
 // memory beyond the two words only once per chunk in which some lane
 // swapped (docs/THEORY.md, "Swap accounting by potential"). Runs stop at
 // every 64-cell change-tracking block, so a run whose blocks are
-// unchanged since it last executed is skipped.
+// unchanged since its previous visit, one period earlier, is skipped.
 // SortSliced is verified bit-identical, lane by lane, to an independent
 // reference executor — Steps, Swaps, Comparisons, errors, and final
 // grids — by the differential suites of internal/kerneltest, including
@@ -246,16 +246,15 @@ type SlicedSchedule struct {
 	periodComps int64
 	compPrefix  []int64 // compPrefix[r] = comparators in the first r steps
 
-	// runStart[si] is step si's offset into a flat per-run scratch array of
-	// totalRuns entries (the executor's last-execution stamps).
-	runStart  []int32
-	totalRuns int
-
 	// Swap accounting by potential: pot[f] is the potential P of flat
 	// cell f, phiSorted[α] = Σ P over ranks α..N−1 is Φ of a sorted lane
 	// with α zeros, and omega is the one nonzero run weight (0 when every
-	// run has weight 0).
+	// run has weight 0). potBits[b·potPlanes+p] has bit j set where bit p
+	// of P is set at flat cell 64b+j: P's bit-planes, block by block, over
+	// potPlanes = bits.Len(max P) planes (none under P ≡ 0).
 	pot       []int32
+	potBits   []uint64
+	potPlanes int
 	phiSorted []int64
 	omega     int64
 }
@@ -338,7 +337,6 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 		pot:   pot, omega: int64(omega),
 	}
 	ss.compPrefix = make([]int64, len(phases)+1)
-	ss.runStart = make([]int32, len(phases))
 	for si, comps := range phases {
 		pairs := make([]sched.Comparator, len(comps))
 		copy(pairs, comps) // PhasesOf shares its slices; sort a copy
@@ -347,8 +345,6 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 		})
 		ss.steps[si] = slicedStep{runs: compressRuns(pairs, pot), comparisons: int64(len(comps))}
 		ss.compPrefix[si+1] = ss.compPrefix[si] + int64(len(comps))
-		ss.runStart[si] = int32(ss.totalRuns)
-		ss.totalRuns += len(ss.steps[si].runs)
 	}
 	ss.periodComps = ss.compPrefix[len(phases)]
 	g := grid.New(rows, cols)
@@ -359,6 +355,17 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 	ss.phiSorted = make([]int64, n+1)
 	for m := n - 1; m >= 0; m-- {
 		ss.phiSorted[m] = ss.phiSorted[m+1] + int64(pot[ss.ranks[m]])
+	}
+	var all int32
+	for _, p := range pot {
+		all |= p
+	}
+	ss.potPlanes = bits.Len32(uint32(all))
+	ss.potBits = make([]uint64, ((n-1)>>blockShift+1)*ss.potPlanes)
+	for f, p := range pot {
+		for b := 0; b < ss.potPlanes; b++ {
+			ss.potBits[(f>>blockShift)*ss.potPlanes+b] |= uint64(p>>b&1) << uint(f&63)
+		}
 	}
 	return ss
 }
@@ -483,50 +490,38 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 	// Per-lane state the hot loop maintains is deliberately tiny. A lane's
 	// sorted status can only change on a step where it swaps, so a lane
 	// that ends sorted became sorted exactly at its last swap step — the
-	// loop records lastSwap per lane and never rescans the grid. Counts
-	// live in bit-sliced form (bit k of planes[i] is bit i of lane k's
-	// count): ones holds each lane's count of 1s, which compare-exchange
-	// never changes, phi its Φ_init, and planes its swaps on pairs of
-	// weight ss.omega.
+	// loop records lastSwap per lane and never rescans the grid. ones and
+	// phi are each lane's count of 1s, which compare-exchange never
+	// changes, and its Φ_init; planes holds its swaps on pairs of weight
+	// ss.omega in bit-sliced form (bit k of planes[i] is bit i of lane k's
+	// count).
 	var (
 		lastSwap  [64]int32
-		ones, phi [64]uint64
+		ones, phi [64]int64
 		planes    [64]uint64
 	)
-	addPotential(w, ss.pot, &ones, &phi)
+	lanePotentials(w, ss, lanes, &ones, &phi)
 
 	// Change tracking for run skipping: blockMax[b] is the latest step that
 	// may have swapped a cell of block b (marks are per chunk or run, so
-	// they can cover more than the swapped cells but never miss one),
-	// lastExec the step each run last executed.
+	// they can cover more than the swapped cells but never miss one).
 	n := ss.rows * ss.cols
 	blockMax := make([]int32, (n-1)>>blockShift+1)
-	lastExec := make([]int32, ss.totalRuns)
-	for i := range lastExec {
-		lastExec[i] = -1
-	}
 
-	// sweep reaches w, blockMax and lastExec through raw pointers, with no
-	// bounds check. Every run's cells lie in [0, n): CompileSliced looks up
-	// the potential of every comparator's cells, bounds-checked, before any
+	// sweep reaches w and blockMax through raw pointers, with no bounds
+	// check. Every run's cells lie in [0, n): CompileSliced looks up the
+	// potential of every comparator's cells, bounds-checked, before any
 	// sweep (TestCompileSlicedRejectsOutOfRangePair), and the dimension
 	// check above makes len(w) == n. The run's blocks then lie within
-	// blockMax, and runStart[pi] plus a run's index within lastExec.
+	// blockMax.
 	wp := unsafe.Pointer(unsafe.SliceData(w))
 	bp := unsafe.Pointer(unsafe.SliceData(blockMax))
-	ep := unsafe.Pointer(unsafe.SliceData(lastExec))
 
 	period := len(ss.steps)
 	pi := 0
 	quiet := 0
 	for t := 1; t <= maxSteps; t++ {
-		var dirty uint64
-		// A step can have no runs (the column steps of a 1×N mesh), and
-		// then its share of lastExec would start past the end.
-		if st := &ss.steps[pi]; len(st.runs) != 0 {
-			runExec := unsafe.Pointer(uintptr(ep) + 4*uintptr(ss.runStart[pi]))
-			dirty = sweep(wp, bp, runExec, st.runs, int32(t), &planes)
-		}
+		dirty := sweep(wp, bp, ss.steps[pi].runs, int32(t), int32(t-period), &planes)
 		if pi++; pi == period {
 			pi = 0
 		}
@@ -549,14 +544,14 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 	for k := 0; k < lanes; k++ {
 		// Swaps = Φ_final − Φ_init + ω·(swaps on weight-ω pairs). A sorted
 		// lane with α zeros holds its 1s at ranks α..N−1.
-		alpha := n - int(laneCount(&ones, k))
+		alpha := n - int(ones[k])
 		phiEnd := ss.phiSorted[alpha]
 		unsorted := still>>uint(k)&1 == 1
 		var misplaced int
 		if unsorted {
 			misplaced, phiEnd = cutLane(w, ss, k, alpha)
 		}
-		results[k].Swaps = phiEnd - laneCount(&phi, k) + ss.omega*laneCount(&planes, k)
+		results[k].Swaps = phiEnd - phi[k] + ss.omega*laneCount(&planes, k)
 		if unsorted {
 			// The lane is at (or was cut off in) an unsorted state; the
 			// scalar engine would have churned on to the step limit, so its
@@ -589,34 +584,37 @@ func SortSliced(ts *TrialSlice, ss *SlicedSchedule, maxSteps int) (results []eng
 // weight-0 run is one uncounted pass, which marks all of the run's blocks
 // in blockMax if some lane swapped. A weighted run goes in chunks of up
 // to chunkPairs pairs, each summing its swap masks per lane in five
-// register bit-planes through a fixed half-adder chain; only a chunk in
+// register bit-planes through a fixed adder chain; only a chunk in
 // which some lane swapped marks its blocks in blockMax and flushes its
 // sums into planes. The marks cover the blocks of both roles' first and
 // last cells, hence every cell of the chunk: each role's cells lie within
 // 64 consecutive cells, so at most two blocks.
 //
-// A run is skipped unless one of its blocks was marked at or after the
-// step it last executed: a run none of whose blocks changed since would
-// find every pair already exchanged (compare-exchange is idempotent), and
-// late in a 0-1 sort that is almost every run, since activity shrinks to
-// a band around the lanes' boundaries. w, blockMax and runExec (the
-// step's share of lastExec) are reached through raw pointers, with no
-// bounds check; SortSliced states why every access lies inside its array.
+// A run is skipped unless one of its blocks was marked at or after since,
+// the step of its previous visit, one period before tt: a run none of
+// whose blocks changed since would find every pair already exchanged
+// (compare-exchange is idempotent), and late in a 0-1 sort that is almost
+// every run, since activity shrinks to a band around the lanes'
+// boundaries. A run skipped at its previous visit saw no mark at or after
+// the visit before, and a mark set since is at least that previous
+// visit's step, so the test is exactly "changed since the run last
+// executed" without a per-run stamp. Before the first full period since
+// is at most 0 and every run executes. w and blockMax are reached through
+// raw pointers, with no bounds check; SortSliced states why every access
+// lies inside its array.
 //
 //meshlint:hot
-func sweep(w, blockMax, runExec unsafe.Pointer, runs []slicedRun, tt int32, planes *[64]uint64) (dirty uint64) {
+func sweep(w, blockMax unsafe.Pointer, runs []slicedRun, tt, since int32, planes *[64]uint64) (dirty uint64) {
 next:
 	for ri := range runs {
 		r := &runs[ri]
 		f, delta, stride, count := uintptr(r.base), uintptr(r.delta), uintptr(r.stride), int(r.count)
 		blo, bhi := uintptr(r.blo), uintptr(r.bhi)
-		stamp := (*int32)(unsafe.Pointer(uintptr(runExec) + 4*uintptr(ri)))
-		for b, last := blo, *stamp; *(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*b)) < last; b++ {
+		for b := blo; *(*int32)(unsafe.Pointer(uintptr(blockMax) + 4*b)) < since; b++ {
 			if b == bhi {
 				continue next
 			}
 		}
-		*stamp = tt
 		if r.weight == 0 {
 			if swapped := exchange(unsafe.Pointer(uintptr(w)+8*f), 8*delta, 8*stride, count); swapped != 0 {
 				dirty |= swapped
@@ -669,30 +667,50 @@ func exchange(lo unsafe.Pointer, off, stride uintptr, k int) (swapped uint64) {
 }
 
 // sweepChunk compare-exchanges 1 ≤ k ≤ chunkPairs pairs, laid out as for
-// exchange, and returns their per-lane swap counts as five bit-planes. It
-// stays out of line: inlined, its live values and sweep's own exceed the
-// amd64 registers, and the planes spill to the stack on every pair.
+// exchange, and returns their per-lane swap counts as five bit-planes. An
+// odd first pair's swap mask starts the count; the rest go two at a time,
+// one carry-save adder folding both masks into ones and handing a single
+// carry to the half-adder chain above it. It stays out of line: inlined,
+// its live values and sweep's own exceed the amd64 registers, and the
+// planes spill to the stack on every pair.
 //
 //meshlint:hot
 //go:noinline
 func sweepChunk(lo unsafe.Pointer, off, stride uintptr, k int) (ones, twos, fours, eights, sixteens uint64) {
+	if k&1 == 1 {
+		pl, ph := (*uint64)(lo), (*uint64)(unsafe.Pointer(uintptr(lo)+off))
+		x, y := *pl, *ph
+		ones = x &^ y
+		*pl, *ph = x&y, y|ones
+		if k--; k == 0 {
+			return ones, 0, 0, 0, 0
+		}
+		lo = unsafe.Pointer(uintptr(lo) + stride) // onto a pair that exists, as in exchange
+	}
 	for {
 		pl, ph := (*uint64)(lo), (*uint64)(unsafe.Pointer(uintptr(lo)+off))
 		x, y := *pl, *ph
 		s := x &^ y
 		*pl, *ph = x&y, y|s // y|s == x|y, and frees x's register sooner
-		ones ^= s
-		c := s &^ ones // the carries: lanes where ones was set
+		// k ≥ 2 here, so the second pair exists.
+		lo = unsafe.Pointer(uintptr(lo) + stride)
+		pl, ph = (*uint64)(lo), (*uint64)(unsafe.Pointer(uintptr(lo)+off))
+		x, y = *pl, *ph
+		t := x &^ y
+		*pl, *ph = x&y, y|t
+		u := ones ^ s
+		c := ones&s | u&t // ones + s + t = (u ^ t) + 2c, per lane
+		ones = u ^ t
 		twos ^= c
-		c &^= twos
+		c &^= twos // the carries: lanes where twos was set
 		fours ^= c
 		c &^= fours
 		eights ^= c
 		sixteens |= c &^ eights // no carry out: a chunk counts at most 31
-		if k--; k == 0 {
+		if k -= 2; k == 0 {
 			return ones, twos, fours, eights, sixteens
 		}
-		lo = unsafe.Pointer(uintptr(lo) + stride) // onto a pair that exists, as in exchange
+		lo = unsafe.Pointer(uintptr(lo) + stride)
 	}
 }
 
@@ -716,22 +734,6 @@ func addCounts(planes *[64]uint64, ones, twos, fours, eights, sixteens uint64) {
 	addAt(planes, carry, 5)
 }
 
-// addPotential adds each lane's count of 1s into ones and its potential
-// Φ = Σ pot[f] over the lane's 1s into phi, both bit-sliced like the swap
-// planes: cell f adds its word once at plane 0 of ones and once at plane
-// b of phi for every set bit b of pot[f].
-//
-//meshlint:hot
-func addPotential(w []uint64, pot []int32, ones, phi *[64]uint64) {
-	pot = pot[:len(w)]
-	for f, x := range w {
-		addAt(ones, x, 0)
-		for p := uint32(pot[f]); p != 0; p &= p - 1 {
-			addAt(phi, x, bits.TrailingZeros32(p))
-		}
-	}
-}
-
 // addAt adds 2^b to the bit-sliced counter of every lane set in x.
 //
 //meshlint:hot
@@ -740,6 +742,30 @@ func addAt(planes *[64]uint64, x uint64, b int) {
 		p := planes[b&63]
 		planes[b&63] = p ^ x
 		x &= p
+	}
+}
+
+// lanePotentials adds each of the first lanes lanes' count of 1s into
+// ones[k] and its potential Φ = Σ P over the lane's 1s into phi[k]. Each
+// 64-cell block of the words is transposed back into one word per lane
+// (bit j = cell 64b+j), and Φ is that word's popcount under each of P's
+// bit-planes for the block (ss.potBits), weighted by the plane's power
+// of two.
+//
+//meshlint:hot
+func lanePotentials(w []uint64, ss *SlicedSchedule, lanes int, ones, phi *[64]int64) {
+	var a [64]uint64
+	planes := ss.potPlanes
+	for b := 0; b<<blockShift < len(w); b++ {
+		clear(a[copy(a[:], w[b<<blockShift:]):])
+		transpose64(&a)
+		masks := ss.potBits[b*planes : (b+1)*planes]
+		for k, x := range a[:lanes] {
+			ones[k] += int64(bits.OnesCount64(x))
+			for p, m := range masks {
+				phi[k] += int64(bits.OnesCount64(x&m)) << uint(p)
+			}
+		}
 	}
 }
 

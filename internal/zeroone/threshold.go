@@ -91,11 +91,10 @@ func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int) (engine.Resu
 	n := len(cells)
 	// Allocate every buffer here: the chunk loop is the allocation-free
 	// hot region. The per-cell popcount accumulators reconstruct the final
-	// grid; blockMax and lastExec are the executor's change tracking.
+	// grid; blockMax is the executor's change tracking.
 	ts := NewTrialSlice(ss.rows, ss.cols)
 	counts := make([]int32, n)
 	blockMax := make([]int32, (n-1)>>blockShift+1)
-	lastExec := make([]int32, ss.totalRuns)
 
 	// Validate 1..N-ness with the counts array doubling as a seen table;
 	// the grid is untouched until validation passes.
@@ -114,7 +113,7 @@ func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int) (engine.Resu
 	for chunk, base := 0, 0; ; chunk, base = chunk+1, base+63 {
 		ts.LoadThresholds(g, base)
 		if unsortedAmong(w, ss.ranks, ^uint64(0)) != 0 {
-			last, swaps, unsorted := runThresholdChunk(w, ss, maxSteps, blockMax, lastExec)
+			last, swaps, unsorted := runThresholdChunk(w, ss, maxSteps, blockMax)
 			res.Swaps += swaps
 			if last > lastAny {
 				lastAny = last
@@ -172,33 +171,28 @@ func SortThresholds(g *grid.Grid, ss *SlicedSchedule, maxSteps int) (engine.Resu
 // point from its last swap on.
 //
 //meshlint:hot
-func runThresholdChunk(w []uint64, ss *SlicedSchedule, maxSteps int, blockMax, lastExec []int32) (lastSwap int32, swaps int64, unsorted bool) {
+func runThresholdChunk(w []uint64, ss *SlicedSchedule, maxSteps int, blockMax []int32) (lastSwap int32, swaps int64, unsorted bool) {
 	clear(blockMax)
-	for i := range lastExec {
-		lastExec[i] = -1
-	}
 
 	period := len(ss.steps)
 	pi := 0
 	quiet := 0
 	for t := 1; t <= maxSteps; t++ {
 		st := &ss.steps[pi]
-		runExec := lastExec[ss.runStart[pi]:]
 		if pi++; pi == period {
 			pi = 0
 		}
 		var dirty uint64
-		tt := int32(t)
+		tt, since := int32(t), int32(t-period)
 		for ri := range st.runs {
 			r := &st.runs[ri]
 			stale := true
 			for _, m := range blockMax[r.blo : r.bhi+1] {
-				stale = stale && m < runExec[ri]
+				stale = stale && m < since
 			}
 			if stale {
 				continue
 			}
-			runExec[ri] = tt
 			f, delta, stride := int(r.base), int(r.delta), int(r.stride)
 			for j := int32(0); j < r.count; j++ {
 				lo, hi := w[f], w[f+delta]
