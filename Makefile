@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/engine/ ./internal/experiments/ ./internal/procmesh/ \
+	$(GO) test -race ./internal/engine/ ./internal/experiments/ \
 		./internal/mcbatch/ ./internal/serve/ ./internal/kerneltest/ ./internal/fabric/
 
 bench:

@@ -10,7 +10,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/mcbatch"
-	"repro/internal/procmesh"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -134,32 +133,6 @@ func BenchmarkCompletionDetection(b *testing.B) {
 			}
 			if !sorted {
 				b.Fatal("did not sort")
-			}
-		}
-	})
-}
-
-// BenchmarkProcMesh compares the goroutine-per-processor execution model
-// against the centralized array engine on the same workload (expect the
-// channel-based model to be orders of magnitude slower; it exists for
-// fidelity, not speed).
-func BenchmarkProcMesh(b *testing.B) {
-	const side = 8
-	s := sched.NewSnakeA(side, side)
-	input := workload.RandomPermutation(rng.New(3), side, side)
-	b.Run("procmesh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := input.Clone()
-			if _, err := procmesh.Run(g, s, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := input.Clone()
-			if _, err := engine.Run(g, s, engine.Options{}); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

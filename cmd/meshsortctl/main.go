@@ -299,7 +299,7 @@ func printResult(stdout, stderr io.Writer, body []byte, cacheHdr string, asJSON 
 		_, _ = stdout.Write(body)
 		return exitOK
 	}
-	var p serve.ResultPayload
+	var p report.ResultPayload
 	if err := json.Unmarshal(body, &p); err != nil {
 		fmt.Fprintln(stderr, "meshsortctl: bad result payload:", err)
 		return exitErr
@@ -308,7 +308,7 @@ func printResult(stdout, stderr io.Writer, body []byte, cacheHdr string, asJSON 
 		p.Spec.Algorithm, p.Spec.Rows, p.Spec.Cols, p.Spec.Trials, p.Spec.Seed,
 		orUnknown(cacheHdr), p.Key)
 	tbl := report.NewTable("", "metric", "mean", "stddev", "variance", "min", "max", "ci95")
-	addRow := func(name string, s serve.Summary) {
+	addRow := func(name string, s report.Summary) {
 		ci := "-"
 		if s.CI95 != nil {
 			ci = report.FormatFloat(*s.CI95)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/report"
 	"repro/internal/serve"
 )
 
@@ -45,7 +46,7 @@ func TestRunSubcommand(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("run -json exit = %d, stderr: %s", code, errb.String())
 	}
-	var p serve.ResultPayload
+	var p report.ResultPayload
 	if err := json.Unmarshal(out.Bytes(), &p); err != nil {
 		t.Fatalf("-json output not a ResultPayload: %v", err)
 	}

@@ -8,7 +8,7 @@
 //	meshsortd [-addr 127.0.0.1:8080] [-portfile FILE]
 //	          [-concurrency 2] [-queue 64] [-trial-workers 0]
 //	          [-job-timeout 60s] [-cache 512] [-max-trials N] [-max-cells N]
-//	          [-store DIR] [-campaign-concurrency 1]
+//	          [-store DIR]
 //	          [-peers host:p1,host:p2] [-fabric-min-trials 256]
 //	          [-fabric-shard-trials 0] [-fabric-attempts 3]
 //	          [-drain-timeout 2m] [-drain-grace 500ms] [-log-level info]
@@ -28,8 +28,8 @@
 // With -store DIR the daemon opens the durable content-addressed result
 // store (internal/store) in DIR: executed payloads persist write-behind,
 // cache misses read through to disk, and the /v1/campaigns endpoints
-// accept resumable sweep campaigns. Without it the daemon is memory-only
-// and campaigns answer 503.
+// accept resumable sweep campaigns, whose cells run one at a time as
+// jobs. Without it the daemon is memory-only and campaigns answer 503.
 //
 // Shutdown sequence on signal: stop accepting jobs (503), wait until every
 // queued and running job finished (bounded by -drain-timeout), keep the
@@ -79,7 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxTrials    = fs.Int("max-trials", 0, "largest trials value a job may request (0 = default)")
 		maxCells     = fs.Int("max-cells", 0, "largest rows*cols a job may request (0 = default)")
 		storeDir     = fs.String("store", "", "durable result-store directory (empty = memory-only, no campaigns)")
-		campaignConc = fs.Int("campaign-concurrency", 0, "campaign cells in flight at once (0 = default 1)")
 		peers        = fs.String("peers", "", "comma-separated worker daemons to fan trials out to (empty = no fabric)")
 		fabricMin    = fs.Int("fabric-min-trials", 0, "smallest job routed through the fabric (0 = default 256)")
 		fabricShard  = fs.Int("fabric-shard-trials", 0, "trials per fabric shard, rounded up to 64 (0 = auto)")
@@ -138,17 +137,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	srv := serve.NewServer(serve.Config{
-		Concurrency:         *concurrency,
-		QueueDepth:          *queue,
-		TrialWorkers:        *trialWorkers,
-		JobTimeout:          *jobTimeout,
-		CacheEntries:        *cacheSize,
-		Limits:              serve.Limits{MaxTrials: *maxTrials, MaxCells: *maxCells},
-		Store:               st,
-		CampaignConcurrency: *campaignConc,
-		Logger:              logger,
-		Fabric:              coord,
-		FabricMinTrials:     *fabricMin,
+		Concurrency:     *concurrency,
+		QueueDepth:      *queue,
+		TrialWorkers:    *trialWorkers,
+		JobTimeout:      *jobTimeout,
+		CacheEntries:    *cacheSize,
+		Limits:          serve.Limits{MaxTrials: *maxTrials, MaxCells: *maxCells},
+		Store:           st,
+		Logger:          logger,
+		Fabric:          coord,
+		FabricMinTrials: *fabricMin,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,13 +1,14 @@
 // Package campaign turns the paper's average-case grids into resumable
 // sweep campaigns. A campaign Spec declares a parameter grid — algorithms
 // × mesh sides × trial counts × workloads — that expands deterministically
-// into cells, each cell being one content-addressed mcbatch batch. The
-// Runner executes cells with bounded concurrency against the durable
-// result store (internal/store), persisting each cell's canonical payload
-// on completion and skipping cells already on disk, so a campaign
-// interrupted by a crash resumes exactly where the log ends: only the
-// missing cells run, and the exported grid is byte-identical to an
-// uninterrupted run of the same Spec.
+// into at most MaxCells cells, each cell being one content-addressed
+// mcbatch batch. The package holds the grid and its exports; it executes
+// nothing. The daemon (internal/serve) runs each cell as a job, through
+// the same lookup, execution and write-behind persistence as a submitted
+// one, and skips cells the durable result store (internal/store) already
+// holds, so a campaign interrupted by a crash resumes exactly where the
+// log ends: only the missing cells run, and the exported grid is
+// byte-identical to an uninterrupted run of the same Spec.
 //
 // Identity is content-addressed at both levels. A cell's key is
 // mcbatch.Spec.Hash() — the daemon's cache key, so campaign cells, ad-hoc
@@ -79,45 +80,68 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s side=%d trials=%d %s", c.Algorithm, c.Side, c.Trials, c.Workload)
 }
 
-// Expand validates the spec and returns its cells in canonical order:
-// nested loops over algorithms, sides, trials, workloads as listed. The
-// expansion is deterministic — it is the order exports render and the
-// order the Runner claims work — and a grid that would contain two cells
-// with the same content address is rejected (duplicate axis values).
-func (s Spec) Expand() ([]Cell, error) {
+// MaxCells bounds one grid. Expand refuses a larger grid before it
+// allocates anything, so what a request costs is bounded by this limit,
+// not by the product of its axis lengths.
+const MaxCells = 4096
+
+// Expand validates the spec and returns its ID and its cells in
+// canonical order: nested loops over algorithms, sides, trials, workloads
+// as listed. The expansion is deterministic — it is the order exports
+// render and the order the daemon runs cells — and a grid that would
+// contain more than MaxCells cells, or two cells with the same content
+// address (duplicate axis values), is rejected.
+//
+// The ID is content-addressed: a fold of the version tag, the name, and
+// every cell key in expansion order, rendered as "c-" plus 32 hex digits.
+// Two Specs that expand to the same named grid have the same ID, which is
+// what makes resubmission after a daemon restart resume instead of
+// restart.
+func (s Spec) Expand() (string, []Cell, error) {
 	if len(s.Algorithms) == 0 {
-		return nil, fmt.Errorf("campaign: no algorithms")
+		return "", nil, fmt.Errorf("campaign: no algorithms")
 	}
 	if len(s.Sides) == 0 {
-		return nil, fmt.Errorf("campaign: no sides")
+		return "", nil, fmt.Errorf("campaign: no sides")
 	}
 	if len(s.Trials) == 0 {
-		return nil, fmt.Errorf("campaign: no trial counts")
+		return "", nil, fmt.Errorf("campaign: no trial counts")
 	}
 	if s.MaxSteps < 0 {
-		return nil, fmt.Errorf("campaign: max_steps must be >= 0 (got %d)", s.MaxSteps)
+		return "", nil, fmt.Errorf("campaign: max_steps must be >= 0 (got %d)", s.MaxSteps)
 	}
 	workloads := s.Workloads
 	if len(workloads) == 0 {
 		workloads = []string{WorkloadPerm}
 	}
-	cells := make([]Cell, 0, len(s.Algorithms)*len(s.Sides)*len(s.Trials)*len(workloads))
-	seen := make(map[mcbatch.Key]bool, cap(cells))
+	// The product of the axis lengths, stopped as soon as it would pass
+	// MaxCells: n*l <= MaxCells exactly when l <= MaxCells/n, so the
+	// multiplication never overflows.
+	n := 1
+	for _, l := range []int{len(s.Algorithms), len(s.Sides), len(s.Trials), len(workloads)} {
+		if l > MaxCells/n {
+			return "", nil, fmt.Errorf("campaign: %d algorithms × %d sides × %d trial counts × %d workloads exceed the %d-cell limit",
+				len(s.Algorithms), len(s.Sides), len(s.Trials), len(workloads), MaxCells)
+		}
+		n *= l
+	}
+	cells := make([]Cell, 0, n)
+	seen := make(map[mcbatch.Key]bool, n)
 	for _, name := range s.Algorithms {
 		alg, err := core.ByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("campaign: algorithm: %w", err)
+			return "", nil, fmt.Errorf("campaign: algorithm: %w", err)
 		}
 		for _, side := range s.Sides {
 			if side < 1 {
-				return nil, fmt.Errorf("campaign: invalid side %d", side)
+				return "", nil, fmt.Errorf("campaign: invalid side %d", side)
 			}
 			if err := alg.CheckMesh(side, side); err != nil {
-				return nil, fmt.Errorf("campaign: %w", err)
+				return "", nil, fmt.Errorf("campaign: %w", err)
 			}
 			for _, trials := range s.Trials {
 				if trials < 1 {
-					return nil, fmt.Errorf("campaign: invalid trial count %d", trials)
+					return "", nil, fmt.Errorf("campaign: invalid trial count %d", trials)
 				}
 				for _, wl := range workloads {
 					var zeroOne bool
@@ -126,7 +150,7 @@ func (s Spec) Expand() ([]Cell, error) {
 					case WorkloadZeroOne:
 						zeroOne = true
 					default:
-						return nil, fmt.Errorf("campaign: unknown workload %q (want %q or %q)",
+						return "", nil, fmt.Errorf("campaign: unknown workload %q (want %q or %q)",
 							wl, WorkloadPerm, WorkloadZeroOne)
 					}
 					spec := mcbatch.Spec{
@@ -140,10 +164,10 @@ func (s Spec) Expand() ([]Cell, error) {
 					}
 					key, err := spec.Hash()
 					if err != nil {
-						return nil, fmt.Errorf("campaign: %w", err)
+						return "", nil, fmt.Errorf("campaign: %w", err)
 					}
 					if seen[key] {
-						return nil, fmt.Errorf("campaign: duplicate cell %s (repeated axis value)",
+						return "", nil, fmt.Errorf("campaign: duplicate cell %s (repeated axis value)",
 							Cell{Algorithm: name, Side: side, Trials: trials, Workload: wl})
 					}
 					seen[key] = true
@@ -155,23 +179,16 @@ func (s Spec) Expand() ([]Cell, error) {
 			}
 		}
 	}
-	return cells, nil
+	return cellsID(s.Name, cells), cells, nil
 }
 
 // idVersion tags the campaign identity encoding, like mcbatch's
 // hashVersion tags the cell key encoding.
 const idVersion = "campaign/id/v1\x00"
 
-// ID returns the campaign's content-addressed identity: a fold of the
-// version tag, the name, and every cell key in expansion order, rendered
-// as "c-" plus 32 hex digits. Two Specs that expand to the same named
-// grid have the same ID, which is what makes resubmission after a daemon
-// restart resume instead of restart.
-func (s Spec) ID() (string, error) {
-	cells, err := s.Expand()
-	if err != nil {
-		return "", err
-	}
+// cellsID folds the version tag, the name, and every cell key into the
+// campaign ID (see Expand).
+func cellsID(name string, cells []Cell) string {
 	h := sha256.New()
 	var buf [8]byte
 	putU64 := func(v uint64) {
@@ -183,11 +200,11 @@ func (s Spec) ID() (string, error) {
 		h.Write([]byte(v))
 	}
 	putStr(idVersion)
-	putStr(s.Name)
+	putStr(name)
 	putU64(uint64(len(cells)))
 	for _, c := range cells {
 		h.Write(c.Key[:])
 	}
 	sum := h.Sum(nil)
-	return "c-" + hex.EncodeToString(sum[:16]), nil
+	return "c-" + hex.EncodeToString(sum[:16])
 }

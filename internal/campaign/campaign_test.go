@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,7 @@ func gridSpec() Spec {
 }
 
 func TestExpandOrderAndShape(t *testing.T) {
-	cells, err := gridSpec().Expand()
+	_, cells, err := gridSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestExpandValidation(t *testing.T) {
 	for _, tc := range cases {
 		s := gridSpec()
 		tc.mut(&s)
-		if _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
@@ -83,7 +84,7 @@ func TestExpandValidation(t *testing.T) {
 func TestExpandDefaultWorkload(t *testing.T) {
 	s := gridSpec()
 	s.Workloads = nil
-	cells, err := s.Expand()
+	_, cells, err := s.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestExpandDefaultWorkload(t *testing.T) {
 }
 
 func TestIDContentAddressing(t *testing.T) {
-	a, err := gridSpec().ID()
+	a, _, err := gridSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := gridSpec().ID()
+	b, _, err := gridSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestIDContentAddressing(t *testing.T) {
 	for i, mut := range mutations {
 		s := gridSpec()
 		mut(&s)
-		got, err := s.ID()
+		got, _, err := s.Expand()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,8 +137,8 @@ func TestIDContentAddressing(t *testing.T) {
 	// cell hashes they fold.
 	s0, s1 := gridSpec(), gridSpec()
 	s0.Seed, s1.Seed = 0, 1
-	id0, _ := s0.ID()
-	id1, _ := s1.ID()
+	id0, _, _ := s0.Expand()
+	id1, _, _ := s1.Expand()
 	if id0 != id1 {
 		t.Fatal("seed 0 and canonical seed 1 produced different IDs")
 	}
@@ -145,14 +146,49 @@ func TestIDContentAddressing(t *testing.T) {
 
 // TestExpandRejectsOddColumnRowMajor: the row-major algorithms need an
 // even column count, so a grid naming one at an odd side fails to
-// expand instead of panicking later in a runner goroutine.
+// expand instead of panicking later on the daemon's campaign goroutine.
 func TestExpandRejectsOddColumnRowMajor(t *testing.T) {
 	s := Spec{Algorithms: []string{"snake-a", "rm-rf"}, Sides: []int{8, 15}, Trials: []int{4}}
-	if _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "even number of columns") {
+	if _, _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "even number of columns") {
 		t.Fatalf("Expand = %v, want an even-columns error", err)
 	}
 	s.Algorithms = []string{"snake-a", "shearsort"}
-	if _, err := s.Expand(); err != nil {
+	if _, _, err := s.Expand(); err != nil {
 		t.Fatalf("odd sides for snake-a and shearsort: %v", err)
+	}
+}
+
+// TestExpandBoundsTheGrid: a grid past MaxCells is refused before
+// anything is sized for it. 2,000 repeated sides × 2,000 repeated trial
+// counts, an 8 KB request body, would otherwise allocate a cell slice and
+// a key set for 4,000,000 cells before reading a value.
+func TestExpandBoundsTheGrid(t *testing.T) {
+	s := Spec{Algorithms: []string{"snake-a"}, Sides: make([]int, 2000), Trials: make([]int, 2000)}
+	for i := range s.Sides {
+		s.Sides[i], s.Trials[i] = 4, 8
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := s.Expand()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "4096-cell limit") {
+		t.Fatalf("Expand = %v, want the cell-limit error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing the grid allocated %d bytes, want under 1 MB", got)
+	}
+
+	// The bound itself is allowed: 64 sides × 64 trial counts.
+	s = Spec{Algorithms: []string{"snake-a"}, Sides: make([]int, 64), Trials: make([]int, 64)}
+	for i := range s.Sides {
+		s.Sides[i], s.Trials[i] = i+1, i+1
+	}
+	if _, cells, err := s.Expand(); err != nil || len(cells) != MaxCells {
+		t.Fatalf("a %d-cell grid: %d cells, err %v", MaxCells, len(cells), err)
+	}
+	// Twice as many is over it.
+	s.Algorithms = []string{"snake-a", "shearsort"}
+	if _, _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "4096-cell limit") {
+		t.Fatalf("a %d-cell grid: err %v, want the cell-limit error", 2*MaxCells, err)
 	}
 }

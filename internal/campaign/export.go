@@ -43,11 +43,7 @@ type ExportCell struct {
 // collect expands spec and reads every cell's payload. A missing cell
 // wraps ErrIncomplete and names the first absent coordinate.
 func collect(spec Spec, get Getter) (string, []Cell, [][]byte, error) {
-	id, err := spec.ID()
-	if err != nil {
-		return "", nil, nil, err
-	}
-	cells, err := spec.Expand()
+	id, cells, err := spec.Expand()
 	if err != nil {
 		return "", nil, nil, err
 	}

@@ -98,7 +98,6 @@ func TestTargets(t *testing.T) {
 		{LockGuard, "repro/internal/serve", true},
 		{LockGuard, "repro/cmd/meshsortd", false},
 		{LeakCheck, "repro/internal/serve", true},
-		{LeakCheck, "repro/internal/procmesh", true},
 		{LeakCheck, "repro/cmd/meshsortd", true},
 	}
 	for _, c := range cases {

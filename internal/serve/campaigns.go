@@ -2,14 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 
 	"repro/internal/campaign"
-	"repro/internal/mcbatch"
 )
 
 // campaignState is the lifecycle of a daemon-run campaign:
@@ -40,7 +38,7 @@ func (s campaignState) String() string {
 }
 
 // Campaign is one grid tracked by the daemon's campaign registry. Its ID
-// is content-addressed (campaign.Spec.ID folds the cell keys), so
+// is content-addressed (campaign.Spec.Expand folds the cell keys), so
 // resubmitting the same grid — in this process or after a restart —
 // addresses the same campaign: a live one dedups, a finished-but-
 // incomplete one relaunches and resumes from the store.
@@ -63,13 +61,14 @@ func newCampaign(id string, spec campaign.Spec, cells int) *Campaign {
 	return &Campaign{ID: id, spec: spec, cells: cells, done: make(chan struct{})}
 }
 
-// observe records one cell outcome; called concurrently by runner workers.
-func (c *Campaign) observe(o campaign.CellOutcome) {
+// observe counts one finished cell: executed, or skipped because the
+// store already held it.
+func (c *Campaign) observe(executed bool) {
 	c.mu.Lock()
-	if o == campaign.CellSkipped {
-		c.skipped++
-	} else {
+	if executed {
 		c.executed++
+	} else {
+		c.skipped++
 	}
 	c.mu.Unlock()
 }
@@ -98,24 +97,17 @@ func (c *Campaign) live() bool {
 	return c.state == campaignRunning || c.state == campaignDone
 }
 
-// maxCampaignCells bounds one grid; per-cell sizes are bounded by the
-// same Limits as single jobs.
-const maxCampaignCells = 4096
-
-// submitCampaign validates the grid, registers (or dedups onto) the
-// campaign, and launches its runner goroutine.
+// submitCampaign validates the grid (at most campaign.MaxCells cells,
+// each within the same Limits as a single job), registers (or dedups
+// onto) the campaign, and launches its goroutine.
 func (s *Server) submitCampaign(spec campaign.Spec) (*Campaign, bool, *apiError) {
 	if s.cfg.Store == nil {
 		return nil, false, &apiError{http.StatusServiceUnavailable,
 			"campaigns need a durable store; start meshsortd with -store"}
 	}
-	cells, err := spec.Expand()
+	id, cells, err := spec.Expand()
 	if err != nil {
 		return nil, false, &apiError{http.StatusBadRequest, err.Error()}
-	}
-	if len(cells) > maxCampaignCells {
-		return nil, false, &apiError{http.StatusBadRequest,
-			fmt.Sprintf("campaign has %d cells, limit %d", len(cells), maxCampaignCells)}
 	}
 	for i, c := range cells {
 		if c.Trials > s.cfg.Limits.MaxTrials {
@@ -126,10 +118,6 @@ func (s *Server) submitCampaign(spec campaign.Spec) (*Campaign, bool, *apiError)
 			return nil, false, &apiError{http.StatusBadRequest,
 				fmt.Sprintf("cell %d (%s): %dx%d mesh over limit %d cells", i, c, c.Side, c.Side, s.cfg.Limits.MaxCells)}
 		}
-	}
-	id, err := spec.ID()
-	if err != nil {
-		return nil, false, &apiError{http.StatusBadRequest, err.Error()}
 	}
 
 	s.mu.Lock()
@@ -149,48 +137,30 @@ func (s *Server) submitCampaign(spec campaign.Spec) (*Campaign, bool, *apiError)
 	return c, false, nil
 }
 
+// errInterrupted ends a campaign that shutdown stopped; its cells so far
+// are durable, and a resubmission resumes after them.
+var errInterrupted = errors.New("campaign interrupted by shutdown; resubmit to resume")
+
 // runCampaign drives one campaign to a terminal state on its own
-// goroutine. It runs under campaignCtx, so Drain/Close interrupt it
-// between cells; everything completed so far is already durable.
+// goroutine.
 func (s *Server) runCampaign(c *Campaign, cells []campaign.Cell) {
 	defer s.campaignWG.Done()
 	s.metrics.campaignsRunning.Add(1)
 	defer s.metrics.campaignsRunning.Add(-1)
 	s.log.Info("campaign started", "id", c.ID, "name", c.spec.Name, "cells", len(cells))
 
-	r := &campaign.Runner{
-		Store:        s.cfg.Store,
-		Concurrency:  s.cfg.CampaignConcurrency,
-		TrialWorkers: s.cfg.TrialWorkers,
-		CellTimeout:  s.cfg.JobTimeout,
-		// Route cells through the daemon's batch executor, so a
-		// configured fabric fans large cells out across the fleet; the
-		// coordinator's bit-identity contract keeps stored payloads
-		// placement-independent.
-		Execute: func(ctx context.Context, spec mcbatch.Spec) (*mcbatch.Batch, error) {
-			b, _, err := s.execBatch(ctx, spec)
-			return b, err
-		},
-		OnCell: func(_ int, _ campaign.Cell, o campaign.CellOutcome) {
-			c.observe(o)
-			if o == campaign.CellSkipped {
-				s.metrics.campaignCellsSkip.Add(1)
-			} else {
-				s.metrics.campaignCellsRun.Add(1)
-			}
-		},
-	}
-	p, err := r.Run(s.campaignCtx, cells)
+	err := s.runCells(c, cells)
 	switch {
 	case err == nil:
-		if p.Skipped > 0 {
+		_, _, total, executed, skipped := c.snapshot()
+		if skipped > 0 {
 			s.metrics.campaignsResumed.Add(1)
 		}
 		s.metrics.campaignsDone.Add(1)
 		c.finish(campaignDone, "")
 		s.log.Info("campaign done", "id", c.ID,
-			"cells", p.Total, "executed", p.Executed, "skipped", p.Skipped)
-	case errors.Is(err, context.Canceled):
+			"cells", total, "executed", executed, "skipped", skipped)
+	case errors.Is(err, errInterrupted):
 		s.metrics.campaignsInterrupt.Add(1)
 		c.finish(campaignInterrupted, err.Error())
 		s.log.Warn("campaign interrupted", "id", c.ID, "err", err)
@@ -199,6 +169,57 @@ func (s *Server) runCampaign(c *Campaign, cells []campaign.Cell) {
 		c.finish(campaignFailed, err.Error())
 		s.log.Warn("campaign failed", "id", c.ID, "err", err)
 	}
+}
+
+// runCells runs the cells one at a time, in expansion order, on the job
+// path. A cell the store holds is skipped. Any other is looked up like a
+// submission; a new job runs inline through runJob, with a job's
+// timeout, executor, metrics and write-behind put. A cell counts as
+// executed once its payload is durable: after a cache hit, or a dedup
+// onto a job whose put failed, the cell puts the payload itself, and a
+// failed put fails the campaign. Once Drain or Close has set draining,
+// no further cell starts; the flag is read under the lock that starts a
+// job, so no cell enters the in-flight count Drain is waiting on.
+func (s *Server) runCells(c *Campaign, cells []campaign.Cell) error {
+	for i, cell := range cells {
+		if s.cfg.Store.Has(cell.Key) {
+			c.observe(false)
+			s.metrics.campaignCellsSkip.Add(1)
+			continue
+		}
+		s.mu.Lock()
+		if s.draining {
+			s.mu.Unlock()
+			return errInterrupted
+		}
+		out := s.lookupLocked(cell.Key, cell.Spec)
+		fresh := !out.cached && !out.deduped
+		if fresh {
+			s.startLocked(out.job)
+		}
+		s.mu.Unlock()
+		if fresh {
+			s.runJob(out.job)
+		}
+		<-out.job.settled
+		state, errMsg, payload := out.job.Snapshot()
+		if state == JobFailed {
+			if s.baseCtx.Err() != nil {
+				return errInterrupted
+			}
+			return fmt.Errorf("campaign: cell %d (%s): %s", i, cell, errMsg)
+		}
+		if !s.cfg.Store.Has(cell.Key) {
+			if err := s.cfg.Store.Put(cell.Key, payload); err != nil {
+				s.metrics.storeErrors.Add(1)
+				return fmt.Errorf("campaign: cell %d (%s): %w", i, cell, err)
+			}
+			s.metrics.storePuts.Add(1)
+		}
+		c.observe(true)
+		s.metrics.campaignCellsRun.Add(1)
+	}
+	return nil
 }
 
 // campaignByID looks a campaign up.
@@ -239,11 +260,8 @@ func campaignStatus(c *Campaign, deduped bool) campaignStatusResponse {
 }
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec campaign.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad campaign spec: "+err.Error())
+	spec, ok := decodeBody[campaign.Spec](w, r, "bad campaign spec")
+	if !ok {
 		return
 	}
 	c, deduped, apiErr := s.submitCampaign(spec)

@@ -65,11 +65,8 @@ func (s *Server) handleFabricShard(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var req fabric.ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad shard request: "+err.Error())
+	req, ok := decodeBody[fabric.ShardRequest](w, r, "bad shard request")
+	if !ok {
 		return
 	}
 	spec, err := req.ToSpec()

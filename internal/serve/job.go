@@ -33,8 +33,9 @@ func (s JobState) String() string {
 	}
 }
 
-// Job is one submitted trial batch. The daemon's registry tracks it once
-// its ID has been handed to a client (see Config.MaxJobs).
+// Job is one trial batch: a submitted job or a campaign cell. The
+// daemon's registry tracks it once its ID has been handed to a client
+// (see Config.MaxJobs).
 type Job struct {
 	// ID is the submission handle ("j-000001"): the registry key of a
 	// pollable job, and the name the job done and job failed log lines
@@ -55,17 +56,22 @@ type Job struct {
 	// status API and /metrics.
 	kernel string // guarded by mu
 	// cached records that the job was answered from the result cache at
-	// submit time (it never entered the queue). Written at submit under
-	// s.mu but read from handler goroutines, so it takes the job's own
-	// lock like the rest of the mutable state.
+	// lookup time (it never executed). Written under s.mu but read from
+	// handler goroutines, so it takes the job's own lock like the rest of
+	// the mutable state.
 	cached bool // guarded by mu
 
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
+	// settled closes when the job is done with the store as well: after
+	// runJob's write-behind put, or at birth for a cache hit. A campaign
+	// cell that deduplicated onto the job waits for it before it looks at
+	// the store, so the cell never writes the record the job is writing.
+	settled chan struct{}
 }
 
 func newJob(id string, key mcbatch.Key, spec mcbatch.Spec) *Job {
-	return &Job{ID: id, Key: key, spec: spec, done: make(chan struct{})}
+	return &Job{ID: id, Key: key, spec: spec, done: make(chan struct{}), settled: make(chan struct{})}
 }
 
 // Snapshot returns the state, error message (Failed only) and payload
@@ -95,12 +101,14 @@ func (j *Job) executedKernel() string {
 	return j.kernel
 }
 
-// markCached records a cache-hit birth; call before complete so any
-// observer released by the done channel already sees it.
-func (j *Job) markCached() {
+// completeCached makes a new job a cache hit: done with the payload a
+// cache layer returned, and settled, since it writes nothing.
+func (j *Job) completeCached(payload []byte) {
 	j.mu.Lock()
 	j.cached = true
 	j.mu.Unlock()
+	j.complete(payload)
+	close(j.settled)
 }
 
 // wasCached reports whether the job was answered from the result cache.

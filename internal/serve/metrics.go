@@ -16,9 +16,9 @@ import (
 // a lock — and the rendering order is a fixed code sequence, so scrapes
 // are deterministic and detrand-clean (no map iteration).
 type metrics struct {
-	jobsSubmitted atomic.Int64 // accepted submissions, incl. cache hits and dedups
+	jobsSubmitted atomic.Int64 // accepted HTTP submissions, incl. cache hits and dedups
 	jobsRejected  atomic.Int64 // queue-full 429s
-	jobsDeduped   atomic.Int64 // submissions attached to an identical in-flight job
+	jobsDeduped   atomic.Int64 // submissions and campaign cells attached to an identical in-flight job
 	jobsOK        atomic.Int64 // jobs completed successfully (executed, not cached)
 	jobsFailed    atomic.Int64 // jobs that errored
 	jobsCanceled  atomic.Int64 // jobs stopped by timeout or shutdown
@@ -26,9 +26,9 @@ type metrics struct {
 	// durable store (read-through). The two hit counters are reported as
 	// one labelled series so dashboards can tell a warm process from a
 	// warm disk.
-	cacheHitsMemory atomic.Int64 // submissions served from the in-memory LRU
-	cacheHitsStore  atomic.Int64 // submissions served from the durable store
-	cacheMisses     atomic.Int64 // submissions that had to execute
+	cacheHitsMemory atomic.Int64 // lookups (submissions and campaign cells) served from the in-memory LRU
+	cacheHitsStore  atomic.Int64 // lookups served from the durable store
+	cacheMisses     atomic.Int64 // lookups that had to execute
 	storePuts       atomic.Int64 // payloads persisted write-behind
 	storeErrors     atomic.Int64 // store get/put failures (served degraded, not fatal)
 	running         atomic.Int64 // jobs currently executing
@@ -41,7 +41,7 @@ type metrics struct {
 	campaignsFailed     atomic.Int64 // campaigns stopped by a failing cell
 	campaignsResumed    atomic.Int64 // campaign launches that skipped ≥1 stored cell
 	campaignsRunning    atomic.Int64 // campaigns currently executing cells
-	campaignCellsRun    atomic.Int64 // cells executed by campaign runners
+	campaignCellsRun    atomic.Int64 // cells a campaign made durable (executed, or answered by a cache or another job)
 	campaignCellsSkip   atomic.Int64 // cells skipped because the store already held them
 	campaignsInterrupt  atomic.Int64 // campaigns stopped by shutdown/cancellation
 	campaignExportBytes atomic.Int64 // bytes served by campaign exports
@@ -143,7 +143,7 @@ func (m *metrics) writeProm(w io.Writer, s promSample) {
 		"Submissions rejected with 429 because the job queue was full.",
 		m.jobsRejected.Load())
 	counter("meshsortd_jobs_deduped_total",
-		"Submissions attached to an identical job already queued or running.",
+		"Submissions and campaign cells attached to an identical job already queued or running.",
 		m.jobsDeduped.Load())
 
 	fmt.Fprintf(w, "# HELP meshsortd_jobs_completed_total Executed jobs by terminal status.\n")
@@ -160,12 +160,12 @@ func (m *metrics) writeProm(w io.Writer, s promSample) {
 	fmt.Fprintf(w, "meshsortd_jobs_by_kernel_total{kernel=\"other\"} %d\n",
 		m.jobsByKernel.counts[len(kernelLabels)].Load())
 
-	fmt.Fprintf(w, "# HELP meshsortd_cache_hits_total Submissions answered without execution, by cache layer.\n")
+	fmt.Fprintf(w, "# HELP meshsortd_cache_hits_total Submissions and campaign cells answered without execution, by cache layer.\n")
 	fmt.Fprintf(w, "# TYPE meshsortd_cache_hits_total counter\n")
 	fmt.Fprintf(w, "meshsortd_cache_hits_total{layer=\"memory\"} %d\n", m.cacheHitsMemory.Load())
 	fmt.Fprintf(w, "meshsortd_cache_hits_total{layer=\"store\"} %d\n", m.cacheHitsStore.Load())
 	counter("meshsortd_cache_misses_total",
-		"Submissions whose key was absent from every cache layer.",
+		"Submissions and campaign cells whose key was absent from every cache layer.",
 		m.cacheMisses.Load())
 
 	gauge("meshsortd_queue_depth", "Jobs waiting in the queue.", int64(s.queueDepth))

@@ -15,9 +15,11 @@
 //     executed payload is persisted write-behind — results survive
 //     restarts byte-for-byte.
 //   - Resumable campaigns: POST /v1/campaigns declares a parameter grid
-//     (internal/campaign) that runs in the background against the store;
-//     a resubmission after a crash resumes by skipping stored cells, and
-//     /v1/campaigns/{id}/export serves the grid as JSON or CSV.
+//     (internal/campaign) whose cells run in the background, one at a
+//     time, as jobs: they share the cache, the singleflight index and the
+//     store with submitted jobs. A resubmission after a crash resumes by
+//     skipping stored cells, and /v1/campaigns/{id}/export serves the
+//     grid as JSON or CSV.
 //   - Bounded queue with backpressure: a configurable number of jobs run
 //     concurrently, the queue holds a configurable backlog, and a full
 //     queue answers 429 instead of buffering unboundedly. Every job runs
@@ -86,9 +88,6 @@ type Config struct {
 	// The caller owns the store's lifecycle (meshsortd closes it after
 	// the listener stops).
 	Store *store.Store
-	// CampaignConcurrency is the number of campaign cells in flight at
-	// once. Default 1 — each cell's trial pool already uses the machine.
-	CampaignConcurrency int
 	// Logger receives request and job logs. Default slog.Default().
 	Logger *slog.Logger
 	// Fabric, when set, is the distributed-trial coordinator: jobs and
@@ -131,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.LongPollMax <= 0 {
 		c.LongPollMax = 30 * time.Second
 	}
-	if c.CampaignConcurrency <= 0 {
-		c.CampaignConcurrency = 1
-	}
 	if c.FabricMinTrials <= 0 {
 		c.FabricMinTrials = 256
 	}
@@ -171,13 +167,14 @@ type Server struct {
 	jobs map[string]*Job
 	// order is the registration order, for registry eviction. guarded by mu
 	order []string
-	// byKey indexes in-flight jobs for singleflight dedup. guarded by mu
+	// byKey indexes in-flight jobs, submitted or campaign cells, for
+	// singleflight dedup. guarded by mu
 	byKey map[mcbatch.Key]*Job
 	// campaigns is the campaign registry, keyed by the content-addressed
 	// campaign ID. guarded by mu
 	campaigns map[string]*Campaign
 
-	inflight   sync.WaitGroup // enqueued jobs not yet terminal
+	inflight   sync.WaitGroup // started jobs whose runJob has not returned
 	campaignWG sync.WaitGroup // running campaign goroutines
 	workers    sync.WaitGroup
 	stopOnce   sync.Once
@@ -185,11 +182,6 @@ type Server struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	// campaignCtx is cancelled at Drain/Close so campaign runners stop
-	// between cells; an interrupted campaign resumes from the store on
-	// resubmission after restart.
-	campaignCtx    context.Context
-	campaignCancel context.CancelFunc
 }
 
 // NewServer builds a server and starts its worker pool.
@@ -209,7 +201,6 @@ func NewServer(cfg Config) *Server {
 		stopCh:     make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.campaignCtx, s.campaignCancel = context.WithCancel(s.baseCtx)
 	for w := 0; w < cfg.Concurrency; w++ {
 		s.workers.Add(1)
 		go s.workerLoop()
@@ -229,8 +220,12 @@ func (s *Server) workerLoop() {
 	}
 }
 
+// runJob executes a started job (see startLocked) to a terminal state:
+// on a worker for a submitted job, inline on the campaign goroutine for a
+// campaign cell. It returns after the write-behind store put.
 func (s *Server) runJob(job *Job) {
 	defer s.inflight.Done()
+	defer close(job.settled)
 	job.setRunning()
 	if s.cfg.testGate != nil {
 		select {
@@ -309,17 +304,19 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-// submitOutcome describes how a submission was satisfied.
+// submitOutcome is what a lookup found for a submission or a campaign
+// cell: a job born done from a cache layer, the in-flight job for the
+// key, or, with neither flag set, a new job.
 type submitOutcome struct {
 	job     *Job
 	cached  bool // answered from the result cache
 	deduped bool // attached to an identical in-flight job
 }
 
-// submit validates req, consults the cache and the singleflight index,
-// and either enqueues a new job or returns the existing/cached one. It
-// registers nothing: handleSubmit, the one caller that hands the job's
-// ID to its client, does.
+// submit validates req and looks its key up. A new job is queued (429
+// when the queue is full) and started; a cached or in-flight one is
+// returned as it is. It registers nothing: handleSubmit, the one caller
+// that hands the job's ID to its client, does.
 func (s *Server) submit(req JobRequest) (submitOutcome, *apiError) {
 	spec, err := req.ToSpec(s.cfg.Limits)
 	if err != nil {
@@ -336,17 +333,35 @@ func (s *Server) submit(req JobRequest) (submitOutcome, *apiError) {
 		return submitOutcome{}, &apiError{http.StatusServiceUnavailable, "server is draining"}
 	}
 	s.metrics.jobsSubmitted.Add(1)
+	out := s.lookupLocked(key, spec)
+	if out.cached || out.deduped {
+		return out, nil
+	}
+	select {
+	case s.queue <- out.job:
+	default:
+		s.metrics.jobsRejected.Add(1)
+		return submitOutcome{}, &apiError{http.StatusTooManyRequests,
+			fmt.Sprintf("job queue full (%d queued)", cap(s.queue))}
+	}
+	s.startLocked(out.job)
+	return out, nil
+}
 
+// lookupLocked answers key, for a submission or a campaign cell, from
+// the memory LRU, then the in-flight job computing it (singleflight),
+// then the durable store. Failing all three, it returns a new job, which
+// the caller either starts or drops. Callers hold s.mu.
+func (s *Server) lookupLocked(key mcbatch.Key, spec mcbatch.Spec) submitOutcome {
 	if payload, ok := s.cache.get(key); ok {
 		s.metrics.cacheHitsMemory.Add(1)
 		job := s.newJobLocked(key, spec)
-		job.markCached()
-		job.complete(payload)
-		return submitOutcome{job: job, cached: true}, nil
+		job.completeCached(payload)
+		return submitOutcome{job: job, cached: true}
 	}
 	if existing, ok := s.byKey[key]; ok {
 		s.metrics.jobsDeduped.Add(1)
-		return submitOutcome{job: existing, deduped: true}, nil
+		return submitOutcome{job: existing, deduped: true}
 	}
 	// Read-through to the durable store: a payload persisted by an
 	// earlier process (or a campaign) is served byte-identically and
@@ -360,24 +375,21 @@ func (s *Server) submit(req JobRequest) (submitOutcome, *apiError) {
 			s.metrics.cacheHitsStore.Add(1)
 			s.cache.put(key, payload)
 			job := s.newJobLocked(key, spec)
-			job.markCached()
-			job.complete(payload)
-			return submitOutcome{job: job, cached: true}, nil
+			job.completeCached(payload)
+			return submitOutcome{job: job, cached: true}
 		}
 	}
+	return submitOutcome{job: s.newJobLocked(key, spec)}
+}
 
-	job := s.newJobLocked(key, spec)
-	select {
-	case s.queue <- job:
-	default:
-		s.metrics.jobsRejected.Add(1)
-		return submitOutcome{}, &apiError{http.StatusTooManyRequests,
-			fmt.Sprintf("job queue full (%d queued)", cap(s.queue))}
-	}
+// startLocked puts a new job from lookupLocked in flight: lookups of its
+// key deduplicate onto it, and Drain waits for it, until runJob returns.
+// Callers hold s.mu and then call runJob exactly once, through the queue
+// or inline.
+func (s *Server) startLocked(job *Job) {
 	s.metrics.cacheMisses.Add(1)
-	s.byKey[key] = job
+	s.byKey[job.Key] = job
 	s.inflight.Add(1)
-	return submitOutcome{job: job}, nil
 }
 
 // newJobLocked creates a job under the next ID, which the job done and
@@ -426,14 +438,14 @@ func (s *Server) jobByID(id string) (*Job, bool) {
 // state (bounded by ctx), then stop the worker pool. Status and result
 // endpoints keep serving throughout and after, so no finished result is
 // dropped; the caller closes the listener afterwards.
-// Campaigns are stopped, not drained: a grid can be hours of work, so
-// Drain cancels the campaign context and the runners exit between cells,
-// leaving the store positioned for a skip-ahead resume on resubmission.
+// Campaigns are stopped, not drained: a grid can be hours of work, so a
+// campaign starts no cell once draining is set. A cell already running
+// is an in-flight job like any other: it finishes and is stored. The
+// store is left positioned for a skip-ahead resume on resubmission.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.campaignCancel()
 
 	done := make(chan struct{})
 	go func() {
@@ -451,13 +463,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close shuts down immediately: running jobs are cancelled (they fail
-// with the context error), then the pool is stopped. Cancelled jobs reach
-// a terminal state promptly, so the unbounded waits cannot hang — Close
+// Close shuts down immediately: running jobs, campaign cells included,
+// are cancelled (they fail with the context error, and their campaigns
+// end interrupted), then the pool is stopped. Cancelled jobs reach a
+// terminal state promptly, so the unbounded waits cannot hang — Close
 // needs no deadline context, and fabricating a root one here would hide
 // that property.
 func (s *Server) Close() {
-	s.baseCancel() // also cancels campaignCtx, which derives from baseCtx
+	s.baseCancel()
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
@@ -522,18 +535,22 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// maxRequestBody bounds a job-submission body; specs are tiny.
+// maxRequestBody bounds a request body; specs are tiny.
 const maxRequestBody = 1 << 20
 
-func decodeRequest(w http.ResponseWriter, r *http.Request) (JobRequest, bool) {
-	var req JobRequest
+// decodeBody decodes a request body of at most maxRequestBody bytes into
+// a T, refusing unknown fields. A refused body is answered with a 400
+// whose message starts with what.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, what string) (T, bool) {
+	var v T
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return JobRequest{}, false
+	if err := dec.Decode(&v); err != nil {
+		writeErr(w, http.StatusBadRequest, what+": "+err.Error())
+		var zero T
+		return zero, false
 	}
-	return req, true
+	return v, true
 }
 
 func setOutcomeHeaders(w http.ResponseWriter, out submitOutcome) {
@@ -557,7 +574,7 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r)
+	req, ok := decodeBody[JobRequest](w, r, "bad request body")
 	if !ok {
 		return
 	}
@@ -571,7 +588,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The reply hands out the job's ID, so the job enters the registry
 	// unless a dedup found it there already (a dedup onto a /v1/sort job
-	// registers that job now). The client cannot poll before the reply,
+	// or a campaign cell registers that job now). The client cannot poll before the reply,
 	// so registering after submit loses nothing.
 	s.mu.Lock()
 	if _, ok := s.jobs[out.job.ID]; !ok {
@@ -648,7 +665,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // payload in one round trip. The reply carries no job ID, so the job
 // stays out of the registry.
 func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r)
+	req, ok := decodeBody[JobRequest](w, r, "bad request body")
 	if !ok {
 		return
 	}

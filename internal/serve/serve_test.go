@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mcbatch"
+	"repro/internal/report"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -128,7 +129,7 @@ func TestJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result: %d %s", resp.StatusCode, buf)
 	}
-	var payload ResultPayload
+	var payload report.ResultPayload
 	if err := json.Unmarshal(buf, &payload); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestGracefulDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result after drain: %d %s", resp.StatusCode, buf)
 	}
-	var payload ResultPayload
+	var payload report.ResultPayload
 	if err := json.Unmarshal(buf, &payload); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestZeroOneJob(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("zeroone sort: %d %s", resp.StatusCode, buf)
 	}
-	var payload ResultPayload
+	var payload report.ResultPayload
 	if err := json.Unmarshal(buf, &payload); err != nil {
 		t.Fatal(err)
 	}

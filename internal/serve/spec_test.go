@@ -26,7 +26,7 @@ func FuzzJobRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()
-		req, ok := decodeRequest(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		req, ok := decodeBody[JobRequest](w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)), "bad request body")
 		if !ok {
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("refused body answered %d, want 400", w.Code)

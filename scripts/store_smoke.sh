@@ -49,7 +49,7 @@ EOF
 start_daemon() {
     : > "$TMP/port"
     "$TMP/meshsortd" -addr 127.0.0.1:0 -portfile "$TMP/port" \
-        -store "$1" -campaign-concurrency 1 -drain-grace 200ms -log-level warn &
+        -store "$1" -drain-grace 200ms -log-level warn &
     DPID=$!
     i=0
     while [ ! -s "$TMP/port" ]; do
